@@ -12,11 +12,15 @@ the core loop a deployment depends on:
 4. ``GET /metrics`` reports the served requests, and the Prometheus text
    exposition (``?format=prometheus``) parses sample by sample;
 5. the run's trace (``repro serve`` samples every request by default) is
-   retrievable via ``GET /trace/{id}`` with the serve-side spans present.
+   retrievable via ``GET /trace/{id}`` with the serve-side and pool-worker
+   spans present;
+6. ``GET /slo`` grades the ``pipeline-map`` objective from the worker's
+   stage timings, and the ``--trace-log`` span log (in a temp dir) holds
+   every span id exactly once.
 
-Runs against the shared ``.sweep-cache`` by default (override with
-``SMOKE_CACHE_DIR``), so the pipeline run is usually a warm cache hit and
-the whole smoke stays fast.
+The run is submitted with ``"rerun": true``, so it always executes on the
+pool.  The shared ``.sweep-cache`` (override with ``SMOKE_CACHE_DIR``)
+still serves the catalog and receives the result.
 """
 
 import json
@@ -24,6 +28,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import urllib.error
@@ -58,9 +63,14 @@ def _drain(stream, sink):
 
 
 def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        smoke(os.path.join(tmp, "spans.jsonl"))
+
+
+def smoke(span_log):
     server = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--jobs", "2", "--cache-dir", CACHE_DIR],
+         "--jobs", "2", "--cache-dir", CACHE_DIR, "--trace-log", span_log],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     stderr_lines = []
     threading.Thread(target=_drain, args=(server.stderr, stderr_lines),
@@ -109,7 +119,7 @@ def main():
         print(f"smoke: catalog ok ({catalog['count']} scenarios, "
               f"ETag revalidates)")
 
-        payload = json.dumps({"scenario": SCENARIO}).encode()
+        payload = json.dumps({"scenario": SCENARIO, "rerun": True}).encode()
         status, _, body = request(base, "/runs", data=payload)
         if status != 202:
             fail(f"POST /runs: {status} {body[:200]}")
@@ -123,10 +133,11 @@ def main():
             if time.monotonic() > deadline:
                 fail(f"job {job['id']} did not finish in {JOB_TIMEOUT_S}s")
             time.sleep(0.2)
-        if state["status"] != "ok":
-            fail(f"job finished {state['status']}: "
+        if state["status"] != "ok" or state["cached"]:
+            fail(f"job finished {state['status']} "
+                 f"(cached={state['cached']}): "
                  f"{(state.get('error') or '')[:500]}")
-        print(f"smoke: run completed (cached={state['cached']})")
+        print("smoke: run completed on the pool")
 
         status, _, body = request(base, f"/results/{SCENARIO}/latest")
         if status != 200 or json.loads(body)["scenario"] != SCENARIO:
@@ -171,14 +182,32 @@ def main():
             fail(f"/trace/{trace_id}: {status} {body[:300]}")
         trace = json.loads(body)
         names = {span["name"] for span in trace["spans"]}
-        wanted = {"serve.request", "serve.queue_wait", "serve.job"}
-        if not state["cached"]:
-            wanted |= {"sweep.run_scenario", "pipeline.map", "pipeline.plan"}
+        wanted = {"serve.request", "serve.queue_wait", "serve.job",
+                  "sweep.run_scenario", "pipeline.map", "pipeline.plan"}
         if not wanted <= names:
             fail(f"trace {trace_id} is missing spans {wanted - names} "
                  f"(got {sorted(names)})")
         print(f"smoke: trace {trace_id} retrievable "
-              f"({trace['count']} spans) — serve smoke PASSED")
+              f"({trace['count']} spans)")
+
+        # The worker's stage histogram came home with its task result.
+        status, _, body = request(base, "/slo")
+        verdicts = {v["name"]: v for v in json.loads(body)["slos"]}
+        pipeline_map = verdicts.get("pipeline-map", {})
+        if status != 200 or pipeline_map.get("status") in (None, "no_data"):
+            fail(f"/slo grades pipeline-map without data: {pipeline_map}")
+
+        # Worker spans reach the span log once, through the server.
+        with open(span_log, "r", encoding="utf-8") as handle:
+            spans = [json.loads(line) for line in handle if line.strip()]
+        if trace_id not in {span["trace_id"] for span in spans}:
+            fail(f"span log {span_log} lacks trace {trace_id}")
+        ids = [span["span_id"] for span in spans]
+        if len(ids) != len(set(ids)):
+            fail(f"span log repeats span ids: {len(ids)} lines for "
+                 f"{len(set(ids))} ids")
+        print(f"smoke: /slo grades pipeline-map, span log holds {len(ids)} "
+              f"unique span ids — serve smoke PASSED")
     finally:
         server.terminate()
         try:

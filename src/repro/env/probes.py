@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..perf import COUNTERS, fast_path_enabled
+from ..perf import PROBE_MEMO_HITS, fast_path_enabled
 from ..simkernel import Engine
 from ..netsim.firewall import platform_allows
 from ..netsim.flows import FlowModel
@@ -239,7 +239,7 @@ class AnalyticProbeDriver(ProbeDriver):
             hit = memo.lookup(self.platform, "bw", ((src, dst),), size_bytes)
             if hit is not None:
                 self.stats.memo_hits += 1
-                COUNTERS.probe_memo_hits += 1
+                PROBE_MEMO_HITS.value += 1.0
                 return hit
         self._account(1, size_bytes)
         rate = self._flow_model.single_flow_mbps(src, dst)
@@ -258,7 +258,7 @@ class AnalyticProbeDriver(ProbeDriver):
             hit = memo.lookup(self.platform, "conc", key_pairs, size_bytes)
             if hit is not None:
                 self.stats.memo_hits += 1
-                COUNTERS.probe_memo_hits += 1
+                PROBE_MEMO_HITS.value += 1.0
                 return list(hit)
         self._account(len(pairs), size_bytes)
         rates = self._flow_model.steady_state_mbps(list(pairs))

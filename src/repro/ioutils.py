@@ -5,15 +5,24 @@ from __future__ import annotations
 import errno
 import os
 import tempfile
+import threading
 from typing import Callable, Optional
 
 try:
     import fcntl
-except ImportError:                  # non-POSIX: rotation runs unserialised
+except ImportError:          # non-POSIX: appends and rotation run unserialised
     fcntl = None
 
 __all__ = ["write_atomic", "append_line", "rotate_if_needed",
            "set_write_fault_hook"]
+
+#: Held by appends from rotation to close and across forks: a child forked
+#: mid-append would inherit the handle, and its flock, for life.
+_APPEND_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_APPEND_LOCK.acquire,
+                        after_in_parent=_APPEND_LOCK.release,
+                        after_in_child=_APPEND_LOCK.release)
 
 #: Fault-injection hook consulted before every write: given the target path,
 #: returns ``None`` (no fault), ``"enospc"`` (raise before writing) or
@@ -94,35 +103,42 @@ def append_line(path: str, text: str,
     after writing only part of its line — is healed with a newline
     before this payload goes down.  The garbage stays confined to its
     own (skippable) line instead of silently corrupting the first line
-    of this append, which would lose a record that *did* commit.
+    of this append, which would lose a record that *did* commit.  Probe
+    and write happen under an ``flock`` on the open file (and, within
+    this process, under ``_APPEND_LOCK``), so the probe never reads
+    another appender's half-copied line and "heals" it with a spurious
+    blank line.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    if rotate_at:
-        rotate_if_needed(path, rotate_at)
     payload = text.encode("utf-8")
     fault = _write_fault(path)
     if fault == "enospc":
         raise _injected_enospc(path, torn=False)
-    # "a+b": readable for the torn-tail probe; writes still land at EOF
-    # (O_APPEND) no matter where the probe left the offset.
-    with open(path, "a+b", buffering=0) as handle:
-        try:
-            if handle.seek(0, os.SEEK_END) > 0:
-                handle.seek(-1, os.SEEK_END)
-                torn_tail = handle.read(1) != b"\n"
-            else:
+    with _APPEND_LOCK:
+        if rotate_at:
+            rotate_if_needed(path, rotate_at)
+        # "a+b": readable for the torn-tail probe; writes still land at EOF
+        # (O_APPEND) no matter where the probe left the offset.
+        with open(path, "a+b", buffering=0) as handle:
+            if fcntl is not None:
+                fcntl.flock(handle, fcntl.LOCK_EX)   # released by close()
+            try:
+                if handle.seek(0, os.SEEK_END) > 0:
+                    handle.seek(-1, os.SEEK_END)
+                    torn_tail = handle.read(1) != b"\n"
+                else:
+                    torn_tail = False
+            except OSError:
                 torn_tail = False
-        except OSError:
-            torn_tail = False
-        if torn_tail:
-            handle.write(b"\n")
-        if fault == "torn":
-            # Half the payload lands, then the disk "fills": the classic
-            # torn JSONL tail readers must survive.
-            handle.write(payload[:max(1, len(payload) // 2)])
-            raise _injected_enospc(path, torn=True)
-        handle.write(payload)
+            if torn_tail:
+                handle.write(b"\n")
+            if fault == "torn":
+                # Half the payload lands, then the disk "fills": the
+                # classic torn JSONL tail readers must survive.
+                handle.write(payload[:max(1, len(payload) // 2)])
+                raise _injected_enospc(path, torn=True)
+            handle.write(payload)
 
 
 def write_atomic(path: str, text: str, suffix: str = "") -> None:

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..perf import COUNTERS, fast_path_enabled
+from ..perf import ALLOCATIONS, fast_path_enabled
 from ..simkernel import Engine, Event, Tracer
 from .topology import Platform, Route, mbps_to_bytes_per_s
 
@@ -141,7 +141,7 @@ def max_min_allocation(
         The allocated rate of each flow, in the same unit as ``capacities``.
         Flows crossing no constraint (e.g. loopback) get ``inf``.
     """
-    COUNTERS.allocations += 1
+    ALLOCATIONS.value += 1.0
     n = len(flow_keys)
     rates = [0.0] * n
     active = set()

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
-from ..perf import COUNTERS, fast_path_enabled
+from ..perf import ROUTE_CACHE_HITS, ROUTE_CACHE_MISSES, fast_path_enabled
 from .address import IPv4Address
 from .dns import Resolver
 
@@ -497,9 +497,9 @@ class Platform:
         key = (src, dst)
         cached = self._route_cache.get(key)
         if cached is not None:
-            COUNTERS.route_cache_hits += 1
+            ROUTE_CACHE_HITS.value += 1.0
             return cached
-        COUNTERS.route_cache_misses += 1
+        ROUTE_CACHE_MISSES.value += 1.0
         if key in self.route_overrides:
             node_path = self.route_overrides[key]
         else:

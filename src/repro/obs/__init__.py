@@ -24,7 +24,7 @@ And the runtime-telemetry layer (PR 10):
 
 * :data:`RUNTIME` (:mod:`repro.obs.runtime`) — a daemon-thread process
   sampler (RSS/CPU/fds/GC pauses/event-loop lag) with a worker-side
-  :func:`task_runtime` capture shipped home like perf counters.
+  :func:`task_runtime` capture shipped home in each pool task's result.
 * :class:`MetricsHistory` (:mod:`repro.obs.history`) — a bounded ring of
   registry snapshots with windowed rate/quantile derivation
   (``GET /metrics/history``).
@@ -50,7 +50,6 @@ from .metrics import (
     Metric,
     MetricsRegistry,
     REGISTRY,
-    register_perf_counters,
 )
 from .profile import PROFILER, Profiler, collapse
 from .runtime import RUNTIME, RuntimeSampler, task_runtime
@@ -61,7 +60,6 @@ from .trace import NULL_SPAN, Span, TRACER, Tracer
 __all__ = [
     "TRACER", "Tracer", "Span", "NULL_SPAN",
     "REGISTRY", "MetricsRegistry", "Metric", "DEFAULT_BUCKETS",
-    "register_perf_counters",
     "PROFILER", "Profiler", "collapse",
     "RUNTIME", "RuntimeSampler", "task_runtime",
     "MetricsHistory", "percentile_from_buckets",

@@ -20,12 +20,37 @@ Everything operates on plain span dicts — the tracer's ring buffer
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 __all__ = ["aggregate_ops", "critical_path", "diff_traces", "percentile",
-           "self_times"]
+           "self_times", "SpanTree", "span_tree"]
 
 _SpanDict = Dict[str, object]
+
+
+class SpanTree(NamedTuple):
+    """A span set's parent→children links; ``roots`` holds true roots and
+    orphans (parent missing from the set) in input order."""
+
+    by_id: Dict[str, _SpanDict]
+    children: Dict[str, List[_SpanDict]]
+    roots: List[_SpanDict]
+
+
+def span_tree(spans: Sequence[_SpanDict]) -> SpanTree:
+    """Rebuild the span tree from ``parent_id`` links, keyed by
+    ``str(span_id)`` — the one place the timeline renderer and the
+    analytics derive parent/child maps from."""
+    by_id = {str(span.get("span_id")): span for span in spans}
+    children: Dict[str, List[_SpanDict]] = defaultdict(list)
+    roots: List[_SpanDict] = []
+    for span in spans:
+        parent = span.get("parent_id")
+        if parent is not None and str(parent) in by_id:
+            children[str(parent)].append(span)
+        else:
+            roots.append(span)
+    return SpanTree(by_id, children, roots)
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -55,14 +80,13 @@ def self_times(spans: Sequence[_SpanDict]) -> Dict[str, float]:
     Clamped at zero — overlapping children (parallel work under one
     parent) can sum past the parent's wall time.
     """
-    child_total: Dict[str, float] = defaultdict(float)
-    for span in spans:
-        parent = span.get("parent_id")
-        if parent:
-            child_total[str(parent)] += _duration(span)
-    return {str(span.get("span_id")):
-            max(0.0, _duration(span) - child_total[str(span.get("span_id"))])
-            for span in spans}
+    children = span_tree(spans).children
+
+    def own(span: _SpanDict) -> float:
+        kids = children.get(str(span.get("span_id")), ())
+        return max(0.0, _duration(span) - sum(_duration(k) for k in kids))
+
+    return {str(span.get("span_id")): own(span) for span in spans}
 
 
 def aggregate_ops(spans: Sequence[_SpanDict]) -> List[Dict[str, object]]:
@@ -117,18 +141,10 @@ def critical_path(spans: Sequence[_SpanDict],
         spans = [s for s in spans if s.get("trace_id") == trace_id]
     if not spans:
         return []
-    by_id = {str(s.get("span_id")): s for s in spans}
-    children: Dict[str, List[_SpanDict]] = defaultdict(list)
-    roots: List[_SpanDict] = []
-    for span in spans:
-        parent = span.get("parent_id")
-        if parent and str(parent) in by_id:
-            children[str(parent)].append(span)
-        else:
-            roots.append(span)
+    tree = span_tree(spans)
     # A fully cyclic parent chain (corrupt log) leaves no roots; fall back
     # to the longest span so the path is still non-empty and terminates.
-    node = max(roots or spans, key=_duration)
+    node = max(tree.roots or spans, key=_duration)
     path: List[Dict[str, object]] = []
     seen = set()
     depth = 0
@@ -137,7 +153,7 @@ def critical_path(spans: Sequence[_SpanDict],
         if span_id in seen:        # defensive: a cyclic parent chain
             break
         seen.add(span_id)
-        kids = children.get(span_id)
+        kids = tree.children.get(span_id)
         nxt = max(kids, key=_end_ts) if kids else None
         path.append({
             "name": str(node.get("name", "?")),

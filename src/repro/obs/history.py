@@ -40,13 +40,16 @@ __all__ = ["MetricsHistory", "percentile_from_buckets"]
 #: Default ring: 360 snapshots x 5 s = a 30-minute window.
 DEFAULT_CAPACITY = 360
 DEFAULT_INTERVAL_S = 5.0
+#: The trailing window ``GET /metrics/history`` serves by default, and the
+#: window :class:`~repro.obs.slo.SLOEngine` grades burn rates over.
+DEFAULT_WINDOW_S = 300.0
 #: ``window()`` returns at most this many series unless filtered by name
 #: — the endpoint's response size stays bounded even against a registry
 #: with unbounded label cardinality.
 MAX_SERIES = 64
 
 
-def _series_key(name: str, labels: Dict[str, str]) -> str:
+def series_key(name: str, labels: Dict[str, str]) -> str:
     if not labels:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
@@ -112,7 +115,7 @@ class MetricsHistory:
             kind = doc.get("type", "gauge")
             self._types[name] = kind
             for series in doc.get("series", ()):
-                key = _series_key(name, series.get("labels", {}))
+                key = series_key(name, series.get("labels", {}))
                 if kind == "histogram":
                     hists[key] = {"count": series.get("count", 0),
                                   "sum": series.get("sum", 0.0),
@@ -182,6 +185,17 @@ class MetricsHistory:
             return len(self._ring)
 
     # -- windows -------------------------------------------------------------
+
+    def entry_before(self, seconds: float, now: Optional[float] = None
+                     ) -> Optional[Dict[str, object]]:
+        """The newest snapshot at least ``seconds`` old, else the oldest
+        held one (``None`` when empty); ``now`` overrides the clock."""
+        now = time.monotonic() if now is None else now
+        with self._lock:
+            for entry in reversed(self._ring):
+                if now - entry["mono"] >= seconds:
+                    return entry
+            return self._ring[0] if self._ring else None
 
     def window(self, seconds: float,
                names: Optional[Sequence[str]] = None) -> Dict[str, object]:

@@ -1,12 +1,13 @@
 """Metrics: counters, gauges and fixed-bucket histograms, Prometheus-ready.
 
-:class:`MetricsRegistry` generalises the flat :mod:`repro.perf` counters
-into the three metric kinds a scrape-based monitoring stack expects:
+:class:`MetricsRegistry` holds the three metric kinds a scrape-based
+monitoring stack expects:
 
 * **counters** — monotonically increasing totals, either stored
-  (:meth:`Metric.inc`) or *callback-backed* (a zero-argument function read
-  at scrape time — how the existing perf counters are exported without
-  double bookkeeping);
+  (:meth:`Metric.inc`, or a bare increment of the raw series — how the
+  :mod:`repro.perf` hot-loop work counters stay lock-free) or
+  *callback-backed* (a zero-argument function read at scrape time, such
+  as ``process_cpu_seconds_total``);
 * **gauges** — point-in-time values (job queue depth, store bytes),
   stored or callback-backed;
 * **histograms** — fixed cumulative buckets plus sum/count, for latency
@@ -18,6 +19,10 @@ labelled series (created on first use).  The registry renders both a
 JSON snapshot (the ``/metrics`` document) and the Prometheus text
 exposition format (``/metrics?format=prometheus``).
 
+Stored counter and histogram series cross process boundaries as a
+:meth:`MetricsRegistry.delta` that the submitter of a pool task
+:meth:`MetricsRegistry.merge`-s; gauges and callback series never travel.
+
 Registration is get-or-create: re-registering a name returns the existing
 metric (re-binding the callback if a new one is given), so modules and
 short-lived app instances can declare their metrics idempotently against
@@ -28,12 +33,9 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .. import perf
-
-__all__ = ["Metric", "MetricsRegistry", "REGISTRY", "DEFAULT_BUCKETS",
-           "register_perf_counters"]
+__all__ = ["Metric", "MetricsRegistry", "REGISTRY", "DEFAULT_BUCKETS"]
 
 #: Default histogram buckets (seconds) — Prometheus' classic latency
 #: ladder, covering sub-millisecond cache hits to multi-second pipelines.
@@ -221,18 +223,12 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.pop(name, None)
 
-    def reset(self) -> None:
-        """Drop every metric (re-exporting the perf counters) — test hook."""
-        with self._lock:
-            self._metrics.clear()
-        register_perf_counters(self)
-
     def zero(self) -> None:
         """Zero every series in place, keeping registrations and callbacks.
 
-        Unlike :meth:`reset`, handles held by call sites (module-level
-        counters, bound series) stay live — test hook for isolating
-        accumulated values without re-registering instruments.
+        Handles held by call sites (module-level counters, bound series,
+        the :mod:`repro.perf` work counters) stay live — test hook for
+        isolating accumulated values without re-registering instruments.
         """
         with self._lock:
             for metric in self._metrics.values():
@@ -265,6 +261,55 @@ class MetricsRegistry:
             except Exception:   # noqa: BLE001 — mirror _collect's tolerance
                 return None
         return stored
+
+    def counts(self, series: Mapping[str, _Series]) -> Dict[str, int]:
+        """Several stored counter series as ints, read under one lock hold
+        (so a concurrent :meth:`merge` or :meth:`zero` shows whole or not
+        at all)."""
+        with self._lock:
+            return {name: int(one.value) for name, one in series.items()}
+
+    # -- cross-process deltas ------------------------------------------------
+
+    def stored(self) -> Dict[Tuple[str, Tuple[str, ...]], Tuple]:
+        """Every stored counter/histogram series as ``(value, count, sum,
+        *bucket counts)`` by ``(name, label values)``: a :meth:`delta` base."""
+        with self._lock:
+            return {(metric.name, key): (series.value, series.count,
+                                         series.sum, *series.bucket_counts)
+                    for metric in self._metrics.values()
+                    if metric.kind != "gauge"
+                    for key, series in metric._series.items()
+                    if series.fn is None}
+
+    def delta(self, base: Dict[Tuple[str, Tuple[str, ...]], Tuple]
+              ) -> List[Tuple]:
+        """The stored series that changed since ``base``, as pickle-safe
+        ``(name, kind, help, label names, buckets, label values, change)``
+        rows :meth:`merge` can fold into another process' registry."""
+        rows: List[Tuple] = []
+        for (name, key), state in self.stored().items():
+            old = base.get((name, key), (0,) * len(state))
+            change = tuple(now - then for now, then in zip(state, old))
+            if any(change):
+                metric = self._metrics[name]
+                rows.append((name, metric.kind, metric.help,
+                             metric.label_names, metric.buckets, key, change))
+        return rows
+
+    def merge(self, delta: Sequence[Tuple]) -> None:
+        """Fold a :meth:`delta` in, get-or-creating its series; every change
+        lands under one lock hold, so :meth:`counts` sees all of it or none."""
+        targets = [(self._register(name, kind, help, labels, buckets, None)
+                    ._resolve(key), change)
+                   for name, kind, help, labels, buckets, key, change in delta]
+        with self._lock:
+            for series, (value, count, total, *buckets) in targets:
+                series.value += value
+                series.count += count
+                series.sum += total
+                series.bucket_counts = [
+                    a + b for a, b in zip(series.bucket_counts, buckets)]
 
     # -- scraping ------------------------------------------------------------
 
@@ -367,17 +412,6 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-def register_perf_counters(registry: MetricsRegistry) -> None:
-    """Export the :mod:`repro.perf` hot-path counters as callback counters."""
-    for name in perf.PerfCounters.__slots__:
-        registry.counter(
-            f"repro_perf_{name}_total",
-            f"repro.perf hot-path counter: {name}",
-            fn=(lambda n=name: getattr(perf.COUNTERS, n)))
-
-
-#: The process-wide registry every layer records into.  The perf counters
-#: are exported from the start; other subsystems register their metrics at
-#: import / construction time.
+#: The process-wide registry every layer records into; subsystems register
+#: their metrics at import / construction time.
 REGISTRY = MetricsRegistry()
-register_perf_counters(REGISTRY)

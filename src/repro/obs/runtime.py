@@ -19,11 +19,10 @@ interval:
   queueing behind something.
 
 Pool workers run the same machinery in miniature: :func:`task_runtime`
-wraps one task, tracks its peak RSS / CPU / GC deltas in a short-interval
-thread, and ships the result home over the ``TaskContext`` result channel
-exactly like perf-counter deltas (see ``sweep/runner.py``);
-:meth:`RuntimeSampler.ingest` folds worker payloads into
-``repro_worker_*`` series on the parent.
+reads one task's CPU / GC deltas and the worker's peak RSS (``ru_maxrss``:
+no sampling thread) at task end, the payload rides home in the
+:class:`~repro.sweep.runner.TaskResult`, and :meth:`RuntimeSampler.ingest`
+folds it into ``repro_worker_*`` series on the parent.
 """
 
 from __future__ import annotations
@@ -41,14 +40,11 @@ from .metrics import REGISTRY, MetricsRegistry
 _LOG = get_logger("obs.runtime")
 
 __all__ = ["RuntimeSampler", "RUNTIME", "task_runtime", "rss_bytes",
-           "cpu_seconds", "open_fds"]
+           "peak_rss_bytes", "cpu_seconds", "open_fds"]
 
 #: Default sampler cadence; 1 Hz keeps overhead under the <2% benchmark
 #: gate while still catching second-scale RSS ramps.
 DEFAULT_INTERVAL_S = 1.0
-#: Worker task sampler cadence — tasks are short, so the peak tracker
-#: polls more often than the process sampler.
-TASK_INTERVAL_S = 0.05
 _GC_GENERATIONS = (0, 1, 2)
 
 
@@ -66,13 +62,18 @@ def rss_bytes() -> float:
     except (OSError, ValueError, IndexError) as exc:
         _LOG.debug("event=proc_status_unreadable %s",
                    kv(error=type(exc).__name__))
+    # The peak is a coarse stand-in where /proc is unavailable.
+    return peak_rss_bytes()
+
+
+def peak_rss_bytes() -> float:
+    """Peak RSS in bytes (``ru_maxrss``, 0.0 if unknown); a forked child's
+    peak starts at its own RSS, not at its parent's peak."""
     try:
         import resource
-        # ru_maxrss is the *peak*, in kB on Linux — a coarse stand-in
-        # where /proc is unavailable.
         return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) \
             * 1024.0
-    except Exception:   # noqa: BLE001 — no resource module either
+    except Exception:   # noqa: BLE001 — no resource module
         return 0.0
 
 
@@ -370,77 +371,24 @@ class RuntimeSampler:
 # worker-side task capture
 
 
-class _TaskRuntime:
-    """Tracks one task's peak RSS / CPU / GC deltas (see module doc)."""
-
-    def __init__(self, interval_s: float = TASK_INTERVAL_S) -> None:
-        self.interval_s = interval_s
-        self.peak_rss = 0.0
-        self.cpu_s = 0.0
-        self.gc_deltas: Dict[str, int] = {}
-        self.samples = 0
-        self._cpu_start = 0.0
-        self._gc_start: List[int] = []
-        self._stop: Optional[threading.Event] = None
-        self._thread: Optional[threading.Thread] = None
-
-    def _loop(self, stop: threading.Event) -> None:
-        while not stop.wait(self.interval_s):
-            rss = rss_bytes()
-            if rss > self.peak_rss:
-                self.peak_rss = rss
-            self.samples += 1
-
-    def __enter__(self) -> "_TaskRuntime":
-        self._cpu_start = cpu_seconds()
-        self._gc_start = [s.get("collections", 0) for s in gc.get_stats()]
-        self.peak_rss = rss_bytes()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, args=(self._stop,),
-            name="repro-task-runtime", daemon=True)
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._stop is not None:
-            self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=1.0)
-        rss = rss_bytes()
-        if rss > self.peak_rss:
-            self.peak_rss = rss
-        self.cpu_s = max(0.0, cpu_seconds() - self._cpu_start)
-        stats = gc.get_stats()
-        for generation, after in enumerate(stats):
-            before = self._gc_start[generation] \
-                if generation < len(self._gc_start) else 0
-            delta = after.get("collections", 0) - before
-            if delta > 0:
-                self.gc_deltas[str(generation)] = delta
-
-    def as_payload(self) -> Dict[str, object]:
-        """The pickle-safe form shipped over the pool result channel."""
-        return {
-            "pid": os.getpid(),
-            "peak_rss_bytes": self.peak_rss,
-            "cpu_s": self.cpu_s,
-            "gc_collections": dict(self.gc_deltas),
-            "samples": self.samples,
-        }
-
-
 @contextmanager
-def task_runtime(
-        interval_s: float = TASK_INTERVAL_S) -> Iterator[_TaskRuntime]:
-    """Wrap one pool task; ``.as_payload()`` afterwards ships the deltas
-    home (the runtime twin of ``PROFILER.maybe`` / ``TRACER.capture``)."""
-    capture = _TaskRuntime(interval_s=interval_s)
-    with capture:
-        yield capture
-    _LOG.debug("event=task_runtime_done %s",
-               kv(peak_rss=int(capture.peak_rss),
-                  cpu_s=round(capture.cpu_s, 4)))
+def task_runtime() -> Iterator[Dict[str, object]]:
+    """Wrap one pool task; the yielded payload is filled in at exit with
+    its CPU / GC deltas and the worker's peak RSS, ready to ship home
+    (the runtime twin of ``PROFILER.maybe`` / ``TRACER.capture``)."""
+    cpu_start = cpu_seconds()
+    gc_start = [stats.get("collections", 0) for stats in gc.get_stats()]
+    payload: Dict[str, object] = {"pid": os.getpid()}
+    try:
+        yield payload
+    finally:
+        payload["peak_rss_bytes"] = peak_rss_bytes()
+        payload["cpu_s"] = max(0.0, cpu_seconds() - cpu_start)
+        payload["gc_collections"] = {
+            str(generation): stats.get("collections", 0) - before
+            for generation, (before, stats)
+            in enumerate(zip(gc_start, gc.get_stats()))
+            if stats.get("collections", 0) > before}
 
 
 #: The process-wide sampler.  Dormant (no thread) until ``start()`` —

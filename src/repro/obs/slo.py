@@ -12,12 +12,15 @@ it against live telemetry:
 * **availability** objectives read labelled counters, splitting series
   into good/bad by label prefix (``code="5xx"`` → bad).
 
-:class:`SLOEngine` keeps the previous evaluation's tallies, so each
-:meth:`~SLOEngine.evaluate` also grades the **window** since the last one
-and computes its **burn rate** — the bad fraction divided by the error
-budget (``1 − target``).  Burn rate 1.0 spends the budget exactly at the
-objective's boundary; above 1.0 the budget is burning faster than it
-regenerates.  Verdicts are machine-readable: ``ok`` / ``at_risk``
+Each :meth:`~SLOEngine.evaluate` also grades the **window** of the
+trailing :data:`~repro.obs.history.DEFAULT_WINDOW_S` seconds — live
+tallies minus those of the newest metrics-history snapshot at least that
+old, or of the oldest held one — and computes its **burn rate**: the bad
+fraction divided by the error budget (``1 − target``).  The engine keeps
+no window state, so ``/slo`` pollers never shrink each other's windows.
+Burn rate 1.0 spends the budget exactly at the objective's boundary;
+above 1.0 the budget is burning faster than it regenerates.  Verdicts
+are machine-readable: ``ok`` / ``at_risk``
 (cumulative compliance still holds but the current window burns > 1×) /
 ``breach`` / ``no_data``.
 
@@ -33,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .history import DEFAULT_WINDOW_S, MetricsHistory, series_key
 from .metrics import REGISTRY, MetricsRegistry
 
 __all__ = ["SLO", "SLOEngine", "DEFAULT_SLOS", "evaluate_spans"]
@@ -86,16 +90,32 @@ def _series_matches(series: Mapping[str, object],
     return all(labels.get(k) == v for k, v in wanted.items())
 
 
-def _histogram_tally(snapshot: Mapping[str, object],
-                     slo: SLO) -> Tuple[int, int]:
-    """(total, good) events of a latency SLO in one registry snapshot."""
+def _live_series(snapshot: Mapping[str, object],
+                 slo: SLO) -> List[Mapping[str, object]]:
+    """The registry-snapshot series an objective grades."""
     doc = snapshot.get(slo.metric or "")
-    if not isinstance(doc, dict) or doc.get("type") != "histogram":
-        return 0, 0
+    kind = "histogram" if slo.kind == "latency" else "counter"
+    if not isinstance(doc, dict) or doc.get("type") != kind:
+        return []
+    return [series for series in doc.get("series", [])
+            if _series_matches(series, slo.labels)]
+
+
+def _held(entry: Mapping[str, object], slo: SLO,
+          series: Mapping[str, object]) -> Mapping[str, object]:
+    """``series`` as the metrics-history snapshot ``entry`` held it."""
+    labels = series.get("labels") or {}
+    key = series_key(slo.metric or "", labels)
+    if slo.kind == "latency":
+        return entry["hists"].get(key, {})
+    return {"labels": labels, "value": entry["values"].get(key)}
+
+
+def _histogram_tally(series_docs: Sequence[Mapping[str, object]],
+                     slo: SLO) -> Tuple[int, int]:
+    """(total, good) events of a latency SLO over histogram series."""
     total = good = 0
-    for series in doc.get("series", []):
-        if not _series_matches(series, slo.labels):
-            continue
+    for series in series_docs:
         total += int(series.get("count", 0))
         best_bound, best_cum = -math.inf, 0
         for raw_bound, cumulative in series.get("buckets", {}).items():
@@ -106,16 +126,11 @@ def _histogram_tally(snapshot: Mapping[str, object],
     return total, good
 
 
-def _counter_tally(snapshot: Mapping[str, object],
+def _counter_tally(series_docs: Sequence[Mapping[str, object]],
                    slo: SLO) -> Tuple[int, int]:
-    """(total, good) events of an availability SLO in one snapshot."""
-    doc = snapshot.get(slo.metric or "")
-    if not isinstance(doc, dict) or doc.get("type") != "counter":
-        return 0, 0
+    """(total, good) events of an availability SLO over counter series."""
     total = good = 0
-    for series in doc.get("series", []):
-        if not _series_matches(series, slo.labels):
-            continue
+    for series in series_docs:
         value = series.get("value")
         if not isinstance(value, (int, float)) or value != value:
             continue
@@ -160,31 +175,42 @@ def _verdict(slo: SLO, total: int, good: int,
 
 
 class SLOEngine:
-    """Evaluates a fixed SLO set against a registry, tracking windows."""
+    """Evaluates a fixed SLO set against a registry, windowed by a
+    metrics history (no history: the window is everything so far)."""
 
     def __init__(self, slos: Optional[Sequence[SLO]] = None,
-                 registry: MetricsRegistry = REGISTRY) -> None:
+                 registry: MetricsRegistry = REGISTRY,
+                 history: Optional[MetricsHistory] = None) -> None:
         self.slos: Tuple[SLO, ...] = tuple(
             slos if slos is not None else DEFAULT_SLOS)
         self.registry = registry
-        self._last: Dict[str, Tuple[int, int]] = {}
+        self.history = history
         self._evaluations = 0
 
-    def evaluate(self) -> Dict[str, object]:
-        """Grade every objective now; the machine-readable ``/slo`` body."""
+    def evaluate(self, now: Optional[float] = None) -> Dict[str, object]:
+        """Grade every objective now; the machine-readable ``/slo`` body.
+
+        ``now`` overrides the monotonic clock that picks the window's base
+        snapshot (a test hook, like :meth:`MetricsHistory.snap`'s).
+        """
         snapshot = self.registry.snapshot()
+        base = None
+        if self.history is not None:
+            base = self.history.entry_before(DEFAULT_WINDOW_S, now=now)
         verdicts: List[Dict[str, object]] = []
         for slo in self.slos:
             tally = (_histogram_tally if slo.kind == "latency"
-                     else _counter_tally)(snapshot, slo)
-            total, good = tally
-            prev_total, prev_good = self._last.get(slo.name, (0, 0))
-            # Tallies are cumulative; a shrink means the metric was reset.
-            if total >= prev_total and good >= prev_good:
-                window = (total - prev_total, good - prev_good)
-            else:
-                window = (total, good)
-            self._last[slo.name] = (total, good)
+                     else _counter_tally)
+            live = _live_series(snapshot, slo)
+            total, good = tally(live, slo)
+            window = (total, good)
+            if base is not None:
+                then_total, then_good = tally(
+                    [_held(base, slo, series) for series in live], slo)
+                # Tallies are cumulative; a shrink means the metric was
+                # reset since the base snapshot: the window starts afresh.
+                if total >= then_total and good >= then_good:
+                    window = (total - then_total, good - then_good)
             verdicts.append(_verdict(slo, total, good, window=window))
         self._evaluations += 1
         worst = max(verdicts, default=None,

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .analyze import span_tree
 from .logs import kv
 
 __all__ = ["render_timeline", "load_span_log", "group_traces",
@@ -73,10 +74,8 @@ def find_orphans(spans: Sequence[Dict[str, object]]
     a diagnostic (and a non-zero exit) so truncated timelines are never
     mistaken for complete ones.
     """
-    ids = {s.get("span_id") for s in spans}
-    return [s for s in spans
-            if s.get("parent_id") is not None
-            and s.get("parent_id") not in ids]
+    return [span for span in span_tree(spans).roots
+            if span.get("parent_id") is not None]
 
 
 def _attr_summary(attrs: Dict[str, object], limit: int = 4) -> str:
@@ -118,22 +117,23 @@ def render_timeline(spans: Sequence[Dict[str, object]],
               for s in spans)
     total = end - t0
 
-    by_id = {s.get("span_id"): s for s in spans}
-    children: Dict[object, List[Dict[str, object]]] = {}
-    roots: List[Dict[str, object]] = []
-    for span in spans:
-        parent = span.get("parent_id")
-        if parent is not None and parent in by_id:
-            children.setdefault(parent, []).append(span)
-        else:
-            roots.append(span)
+    # Walk the tree once, in render order; spans stuck in a parent cycle
+    # are unreachable from every root and stay out of the chart.
+    tree = span_tree(spans)
+    rows: List[Tuple[Dict[str, object], int]] = []
 
-    name_width = max(len(str(s.get("name", "?"))) + 2 * _depth(s, by_id)
-                     for s in spans)
+    def walk(span: Dict[str, object], depth: int) -> None:
+        rows.append((span, depth))
+        for child in tree.children.get(str(span.get("span_id")), []):
+            walk(child, depth + 1)
+
+    for root in tree.roots:
+        walk(root, 0)
+    name_width = max((len(str(s.get("name", "?"))) + 2 * depth
+                      for s, depth in rows), default=0)
     tid = str(spans[0].get("trace_id", "?"))
     lines = [f"trace {tid} — {len(spans)} spans, {total * 1e3:.1f} ms"]
-
-    def emit(span: Dict[str, object], depth: int) -> None:
+    for span, depth in rows:
         name = "  " * depth + str(span.get("name", "?"))
         offset = span.get("start_ts", 0.0) - t0
         duration = span.get("duration_s", 0.0)
@@ -144,26 +144,7 @@ def render_timeline(spans: Sequence[Dict[str, object]],
         if summary:
             line += f"  {summary}"
         parent = span.get("parent_id")
-        if parent is not None and parent not in by_id:
+        if depth == 0 and parent is not None:       # a root with a parent
             line += f"  [orphan: parent {str(parent)[:16]} not in log]"
         lines.append(line.rstrip())
-        for child in children.get(span.get("span_id"), []):
-            emit(child, depth + 1)
-
-    for root in roots:
-        emit(root, 0)
     return "\n".join(lines)
-
-
-def _depth(span: Dict[str, object],
-           by_id: Dict[object, Dict[str, object]]) -> int:
-    depth = 0
-    seen = set()
-    current = span
-    while True:
-        parent = current.get("parent_id")
-        if parent is None or parent not in by_id or parent in seen:
-            return depth
-        seen.add(parent)
-        current = by_id[parent]
-        depth += 1

@@ -15,13 +15,16 @@ order:
    across ``await`` boundaries, where each asyncio task carries its own
    context.  Crossing a *process* boundary is explicit: the caller ships
    :meth:`Tracer.current_context` with the task, the worker wraps its work
-   in :meth:`Tracer.adopt`, and the finished spans ride the existing
-   result channel home to be :meth:`Tracer.ingest`-ed.
+   in :meth:`Tracer.adopt` inside a :meth:`Tracer.capture`, and the
+   finished spans ride home in the task's
+   :class:`~repro.sweep.runner.TaskResult` to be :meth:`Tracer.ingest`-ed.
 3. **Queryable afterwards.**  Finished spans land in a bounded in-process
    ring buffer (served by ``GET /trace/{trace_id}``) and, when configured,
    are appended to a JSONL span log — one unbuffered ``O_APPEND`` write
    per span, so concurrent writers interleave only at line boundaries
-   (the same discipline as the sweep result store).
+   (the same discipline as the sweep result store).  Pool workers drop
+   the log path they inherit at fork: their spans reach the log once,
+   through the submitter's ingest.
 
 Spans carry the :mod:`repro.perf` counter deltas of the work they cover
 (only the non-zero ones, under an ``attrs["perf"]`` dict), and the tracer
@@ -300,7 +303,8 @@ class Tracer:
                 ms=round(span["duration_s"] * 1e3, 1)))
 
     def ingest(self, spans: List[Dict[str, object]]) -> None:
-        """Fold spans recorded elsewhere (a pool worker) into this process."""
+        """Record spans finished elsewhere (a pool worker) in this process:
+        ring buffer, span log and slow-span warning, exactly once."""
         for span in spans or []:
             if isinstance(span, dict) and "trace_id" in span:
                 self._record(span)
@@ -309,8 +313,8 @@ class Tracer:
     def capture(self) -> Iterator[_Capture]:
         """Additionally collect spans finished in this thread while active.
 
-        How a pool worker gathers the spans of one task to ship back over
-        its result channel; nesting is supported (each capture sees the
+        How a pool worker gathers the spans of one task to ship home in
+        its ``TaskResult``; nesting is supported (each capture sees the
         spans finished inside it).
         """
         capture = _Capture()

@@ -1,12 +1,16 @@
-"""Performance plumbing: hot-path counters and the fast-path switch.
+"""Performance plumbing: hot-path work counters and the fast-path switch.
 
 Two small facilities shared by the whole engine:
 
-* :data:`COUNTERS` — cheap global counters incremented by the hot loops
-  (simulation events dispatched, max-min allocations solved, probe-memo and
-  route-cache hits).  The benchmark harness snapshots them around every
-  benchmark so ``BENCH_results.json`` records a machine-independent work
-  trajectory next to wall-clock times.
+* the **work counters** — stored ``repro_perf_<name>_total`` counters of
+  :data:`~repro.obs.metrics.REGISTRY` (events dispatched, max-min
+  allocations solved, probe-memo and route-cache hits/misses).  Hot loops
+  bump the raw series with a bare, unlocked ``EVENTS.value += 1.0`` — a
+  float, like the stored value, so the add stays on the interpreter's
+  fast path.  Pool tasks ship them home in their registry delta.
+  The benchmark harness snapshots them around every benchmark
+  (:func:`counters_snapshot`) so ``BENCH_results.json`` records a
+  machine-independent work trajectory next to wall-clock times.
 
 * the **fast-path switch** — :func:`set_fast_path` / :func:`fast_path`
   globally disable the incremental/memoised code paths (incremental max-min
@@ -19,70 +23,29 @@ Two small facilities shared by the whole engine:
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator
 
-__all__ = ["COUNTERS", "PerfCounters", "reset_counters", "counters_snapshot",
-           "fast_path_enabled", "set_fast_path", "fast_path"]
+from .obs.metrics import REGISTRY
 
-#: Guards multi-field counter transitions (snapshot, reset, ``add``): a
-#: ``/metrics`` scrape concurrent with a reset must see all-before or
-#: all-after, never a half-zeroed mixture.  Hot loops still use bare
-#: ``COUNTERS.field += 1`` — a single attribute bump needs no cross-field
-#: consistency and must stay free of locking overhead.
-_COUNTER_LOCK = threading.Lock()
+__all__ = ["EVENTS", "ALLOCATIONS", "PROBE_MEMO_HITS", "ROUTE_CACHE_HITS",
+           "ROUTE_CACHE_MISSES", "counters_snapshot", "fast_path_enabled",
+           "set_fast_path", "fast_path"]
 
-
-class PerfCounters:
-    """Monotonic counters of hot-path work, reset via :func:`reset_counters`."""
-
-    __slots__ = ("events", "allocations", "probe_memo_hits",
-                 "route_cache_hits", "route_cache_misses")
-
-    def __init__(self) -> None:
-        self.events = 0            # simulation events dispatched
-        self.allocations = 0       # max-min allocation solves
-        self.probe_memo_hits = 0   # probe measurements answered from memo
-        self.route_cache_hits = 0
-        self.route_cache_misses = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        with _COUNTER_LOCK:
-            return {name: getattr(self, name) for name in self.__slots__}
-
-    def add(self, **deltas: int) -> None:
-        """Bump several counters atomically (multi-threaded writers).
-
-        Concurrent snapshots see either none or all of one call's deltas —
-        the cross-field invariant the bare ``+=`` hot-path increments cannot
-        give.
-        """
-        with _COUNTER_LOCK:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-
-#: The process-wide counter instance.  The simulation hot loops increment it
-#: single-threadedly with bare ``+=``; other threads (the serving layer's
-#: ``/metrics``, job workers) must go through the locked
-#: :meth:`PerfCounters.snapshot` / :meth:`PerfCounters.add` /
-#: :func:`reset_counters`.
-COUNTERS = PerfCounters()
+_WORK = {name: REGISTRY.counter(f"repro_perf_{name}_total",
+                                f"repro.perf hot-path counter: {name}"
+                                ).labels().series
+         for name in ("events", "allocations", "probe_memo_hits",
+                      "route_cache_hits", "route_cache_misses")}
+EVENTS, ALLOCATIONS, PROBE_MEMO_HITS, ROUTE_CACHE_HITS, ROUTE_CACHE_MISSES = \
+    _WORK.values()
 
 _FAST_PATH = True
 
 
-def reset_counters() -> None:
-    """Zero every counter atomically (benchmark harness hook)."""
-    with _COUNTER_LOCK:
-        for name in PerfCounters.__slots__:
-            setattr(COUNTERS, name, 0)
-
-
 def counters_snapshot() -> Dict[str, int]:
-    """A plain-dict copy of the current counter values (atomic)."""
-    return COUNTERS.snapshot()
+    """The five work counters as plain ints, read atomically."""
+    return REGISTRY.counts(_WORK)
 
 
 def fast_path_enabled() -> bool:

@@ -10,9 +10,10 @@ topology-blind baselines and returns everything in a :class:`PipelineResult`.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .core import (
     DeploymentPlan,
@@ -48,6 +49,18 @@ BASELINE_PLANNERS: Dict[str, Callable[[Platform, List[str]], DeploymentPlan]] = 
     "random": partial(random_partition_plan, clique_size=4),
     "subnet": subnet_plan,
 }
+
+
+@contextmanager
+def _stage(timings: Dict[str, float], stage: str, span_name: str,
+           **attrs) -> Iterator[None]:
+    """One stage under its span, timed once for ``timings`` and the
+    ``repro_pipeline_stage_seconds`` histogram."""
+    start = time.perf_counter()
+    with TRACER.span(span_name, **attrs):
+        yield
+    timings[stage] = elapsed = time.perf_counter() - start
+    _STAGE_SECONDS.labels(stage=stage).observe(elapsed)
 
 
 @dataclass
@@ -152,26 +165,20 @@ def run_pipeline(platform: Platform,
     NWSConfig(forecast_window=forecast_window, exponential_alpha=forecast_alpha)
 
     timings: Dict[str, float] = {}
-    start = time.perf_counter()
-    with TRACER.span("pipeline.map", platform=platform.name):
+    with _stage(timings, "map", "pipeline.map", platform=platform.name):
         if mapper is not None:
             view = mapper(platform)
         else:
             view = map_platform(platform, master or platform.host_names()[0])
-    timings["map"] = time.perf_counter() - start
-    _STAGE_SECONDS.labels(stage="map").observe(timings["map"])
 
-    start = time.perf_counter()
-    with TRACER.span("pipeline.plan"):
+    with _stage(timings, "plan", "pipeline.plan"):
         plan = plan_from_view(view, period_s=period_s)
-    timings["plan"] = time.perf_counter() - start
-    _STAGE_SECONDS.labels(stage="plan").observe(timings["plan"])
 
     hosts = sorted(plan.hosts)
     reports: List[QualityReport] = []
     if evaluate:
-        start = time.perf_counter()
-        with TRACER.span("pipeline.evaluate", baselines=len(baselines)):
+        with _stage(timings, "quality", "pipeline.evaluate",
+                    baselines=len(baselines)):
             plans = {"env": plan}
             for name in baselines:
                 # One child span per baseline planner, so trace analytics
@@ -179,8 +186,6 @@ def run_pipeline(platform: Platform,
                 with TRACER.span("pipeline.baseline", planner=name):
                     plans[name] = BASELINE_PLANNERS[name](platform, hosts)
             reports = compare_plans(plans, platform)
-        timings["quality"] = time.perf_counter() - start
-        _STAGE_SECONDS.labels(stage="quality").observe(timings["quality"])
 
     return PipelineResult(
         platform_name=platform.name,

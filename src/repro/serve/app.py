@@ -48,8 +48,8 @@ Endpoints (all JSON):
     step's own contribution (see :func:`repro.obs.analyze.critical_path`).
 ``GET /slo``
     Machine-readable verdicts of the declarative latency/error-budget
-    objectives (:mod:`repro.obs.slo`), with burn rates for the window
-    since the previous evaluation.
+    objectives (:mod:`repro.obs.slo`), with burn rates over the trailing
+    five minutes of the metrics history.
 ``GET /metrics/history``
     Windowed time-series over the bounded metrics-history ring
     (:mod:`repro.obs.history`): ``?window=<seconds>`` selects the
@@ -83,7 +83,7 @@ from typing import Dict, Optional
 from .. import perf
 from ..obs.analyze import aggregate_ops, critical_path
 from ..obs.flightrec import FLIGHT
-from ..obs.history import MetricsHistory
+from ..obs.history import DEFAULT_WINDOW_S, MetricsHistory
 from ..obs.logs import get_logger, kv
 from ..obs.metrics import REGISTRY
 from ..obs.profile import MAX_HZ, PROFILER
@@ -285,11 +285,11 @@ class ReproApp:
         REGISTRY.gauge("repro_pool_queue_depth",
                        "jobs accepted but not yet dispatched to the pool",
                        fn=self.jobs.queue_depth)
-        self.slo_engine = SLOEngine()
         self.runtime_interval_s = runtime_interval_s
         self.history = MetricsHistory(capacity=history_capacity,
                                       interval_s=history_interval_s,
                                       on_snapshot=self._check_slo_breach)
+        self.slo_engine = SLOEngine(history=self.history)
         # The process-wide flight recorder serves this (newest) app: its
         # bundles embed our health snapshot and history ring.
         FLIGHT.configure(flight_dir=flight_dir, history=self.history,
@@ -304,12 +304,8 @@ class ReproApp:
         self.store.remember([record])
 
     def _check_slo_breach(self) -> None:
-        """History-thread hook: a breach verdict triggers a flight dump.
-
-        Only evaluated while the recorder is enabled — ``evaluate()``
-        advances the burn-rate window, and an idle process should not
-        consume ``/slo`` windows for a dump it can never write.
-        """
+        """History-thread hook: a breach verdict triggers a flight dump
+        (only evaluated while the recorder can write one)."""
         if not FLIGHT.enabled:
             return
         verdict = self.slo_engine.evaluate()
@@ -522,8 +518,8 @@ class ReproApp:
 
     def _metrics_history(self, request: Request, method: str) -> Response:
         self._require(method, "GET", "HEAD")
-        window = _int_param(request, "window", 300, minimum=1,
-                            maximum=86400)
+        window = _int_param(request, "window", int(DEFAULT_WINDOW_S),
+                            minimum=1, maximum=86400)
         raw_names = (request.query.get("names") or "").strip()
         names = None
         if raw_names:
@@ -807,6 +803,5 @@ class ReproApp:
     def _slo(self, method: str) -> Response:
         self._require(method, "GET", "HEAD")
         # A live evaluation (like /metrics, /healthz): every call grades
-        # the current tallies and advances the burn-rate window, so the
-        # body is never cacheable.
+        # the current tallies, so the body is never cacheable.
         return json_response(self.slo_engine.evaluate())

@@ -46,14 +46,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.logs import get_logger, kv
 from ..obs.metrics import REGISTRY
-from ..obs.profile import PROFILER
-from ..obs.runtime import RUNTIME
 from ..obs.trace import TRACER
-from ..perf import COUNTERS
 from ..sweep.results import SweepRecord
 from ..sweep.runner import (
     DEFAULT_BASELINES,
     DEFAULT_CACHE_DIR,
+    fold_task_result,
     load_cached_record,
     pool_generation,
     respawn_pool,
@@ -515,26 +513,18 @@ class JobQueue:
         if job.done:                        # cancelled mid-flight: discard
             return None
         try:
-            record, counter_deltas, worker_spans, profile, runtime = \
-                async_result.get()   # repro: noqa[RC004] — .ready() was
-            # polled above, so this get() returns without blocking
+            result = async_result.get()   # repro: noqa[RC004] — .ready()
+            # was polled above, so this get() returns without blocking
         except Exception as exc:            # noqa: BLE001 — a worker that
             # died mid-task (or injected chaos) surfaces here; the
             # dispatcher must survive it and retry, not die with it.
             return ("worker-crash", f"{type(exc).__name__}: {exc}")
-        # Pipeline work happened in a pool worker whose perf counters and
-        # span ring are invisible here; fold the deltas in (atomically) so
-        # /metrics in this process reflects the work its jobs caused,
-        # ingest the worker's spans so GET /trace/{id} shows its pipeline
-        # stages, fold any shipped profile into the process-wide profiler
-        # so GET /profile shows the worker's hot frames, and fold the
-        # worker's runtime deltas (peak RSS, CPU, GC) into the
-        # repro_worker_* series.
-        COUNTERS.add(**counter_deltas)
-        TRACER.ingest(worker_spans)
-        if profile is not None:
-            job.profile_samples = PROFILER.ingest(profile)
-        RUNTIME.ingest(runtime)
+        # The pipeline ran in a pool worker: fold its telemetry in so
+        # /metrics, /slo, GET /trace/{id} and GET /profile here reflect it.
+        samples = fold_task_result(result)
+        if samples is not None:
+            job.profile_samples = samples
+        record = result.record
         self._persist(job, record)
         self._finish(job, "ok" if record.ok else "error", record=record)
         return ("ok", "")

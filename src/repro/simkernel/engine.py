@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from ..perf import COUNTERS
+from ..perf import EVENTS
 from .events import AllOf, AnyOf, Event, StopSimulation, Timeout
 from .process import Process
 
@@ -107,7 +107,7 @@ class Engine:
             raise RuntimeError("event scheduled in the past")
         self._now = max(self._now, when)
         self.event_count += 1
-        COUNTERS.events += 1
+        EVENTS.value += 1.0
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks or ():
             callback(event)

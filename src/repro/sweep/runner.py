@@ -56,9 +56,9 @@ from ..ioutils import write_atomic
 from ..obs.logs import get_logger, kv
 from ..obs.metrics import REGISTRY
 from ..obs.profile import PROFILER
-from ..obs.runtime import task_runtime
+from ..obs.runtime import RUNTIME, task_runtime
 from ..obs.trace import TRACER
-from ..perf import counters_snapshot, fast_path_enabled, set_fast_path
+from ..perf import fast_path_enabled, set_fast_path
 from ..pipeline import run_pipeline
 from ..scenarios import Scenario, get_scenario, list_scenarios
 from .results import (
@@ -68,9 +68,10 @@ from .results import (
     summary_rows,
 )
 
-__all__ = ["SweepResult", "TaskContext", "code_version", "cache_path",
-           "run_scenario", "run_sweep", "load_cached_record", "store_record",
-           "submit_scenario", "respawn_pool", "pool_generation",
+__all__ = ["SweepResult", "TaskContext", "TaskResult", "code_version",
+           "cache_path", "run_scenario", "run_sweep", "load_cached_record",
+           "store_record", "submit_scenario", "fold_task_result",
+           "respawn_pool", "pool_generation",
            "worker_deaths", "DEFAULT_CACHE_DIR", "DEFAULT_BASELINES",
            "DEFAULT_RETRIES", "DEFAULT_TASK_DEADLINE_S"]
 
@@ -135,8 +136,7 @@ class TaskContext:
     fast_path: bool = True
     trace: Optional[Dict[str, str]] = None
     #: Non-zero arms the worker's sampling profiler at this rate for the
-    #: task; its collapsed stacks ride the result channel home (see
-    #: :func:`_worker_with_counters`).
+    #: task; its collapsed stacks ride home in the :class:`TaskResult`.
     profile_hz: int = 0
     #: 0-based retry attempt of this dispatch.  Rides with the task (rather
     #: than living in worker state) so fault plans can target "attempt 0
@@ -262,8 +262,9 @@ def run_scenario(scenario_or_name: "Scenario | str",
         )
 
 
-def _worker(args: Tuple[Scenario, float, Tuple[str, ...], TaskContext]
-            ) -> SweepRecord:
+def _run_task(args: Tuple[Scenario, float, Tuple[str, ...], TaskContext]
+              ) -> SweepRecord:
+    """The task body: what a pool task runs, and the ``jobs=1`` path."""
     scenario, period_s, baselines, context = args
     # Chaos hook: adopt any env-propagated fault plan and fire worker
     # faults (kill / hang / raise) scheduled for this scenario + attempt.
@@ -278,49 +279,55 @@ def _worker(args: Tuple[Scenario, float, Tuple[str, ...], TaskContext]
         return run_scenario(scenario, period_s=period_s, baselines=baselines)
 
 
-def _worker_with_counters(args: Tuple[Scenario, float, Tuple[str, ...],
-                                      TaskContext]
-                          ) -> Tuple[SweepRecord, Dict[str, int],
-                                     List[Dict[str, object]],
-                                     Optional[Dict[str, object]],
-                                     Dict[str, object]]:
-    """Like :func:`_worker`, but ships the task's observability payload too.
+@dataclass
+class TaskResult:
+    """Everything one pool task ships home: the worker's registry, span
+    ring, profiler and runtime readings are per-process, so its work stays
+    invisible to the submitter until :func:`fold_task_result` folds it in.
+    """
 
-    ``repro.perf.COUNTERS`` and the span ring buffer are per-process, so
-    pipeline work done in a pool worker is invisible to the submitting
-    process; the serving layer folds the counter deltas back in (so its
-    ``/metrics`` endpoint reflects the work its jobs actually caused) and
-    ingests the captured spans (so ``GET /trace/{id}`` shows the worker's
-    pipeline stages).  A pool worker runs one task at a time, so the
-    before/after counter difference — and the captured span set — is
-    exactly this task's work.
+    record: SweepRecord
+    #: Stored counter/histogram growth (``MetricsRegistry.delta``).
+    metrics: List[Tuple]
+    #: The task's spans, stamped with the worker's ``pid``.
+    spans: List[Dict[str, object]]
+    #: Collapsed stacks when ``TaskContext.profile_hz`` was set.
+    profile: Optional[Dict[str, object]]
+    #: :func:`repro.obs.runtime.task_runtime` payload (peak RSS, CPU, GC).
+    runtime: Dict[str, object]
 
-    With ``context.profile_hz`` set, the task additionally runs under the
-    worker's sampling profiler; the fourth element of the return tuple is
-    the shipped profile payload (``None`` when unprofiled), which the
-    submitter folds into its own :data:`~repro.obs.profile.PROFILER`.
 
-    The fifth element is the task's runtime payload (peak RSS, CPU
-    seconds, GC collection deltas — :func:`repro.obs.runtime.task_runtime`),
-    folded into the submitter's ``repro_worker_*`` series.  Captured spans
-    are stamped with this worker's pid so the Perfetto export
-    (``repro trace --format chrome``) renders each worker as its own
-    process track.
+def _pool_task(args: Tuple[Scenario, float, Tuple[str, ...], TaskContext]
+               ) -> TaskResult:
+    """The one pool-task entrypoint, for sweeps and served jobs alike; a
+    worker runs one task at a time, so the delta and spans are this task's.
     """
     context = args[3]
-    before = counters_snapshot()
+    base = REGISTRY.stored()
     with TRACER.capture() as captured, \
             task_runtime() as runtime, \
             PROFILER.maybe(bool(context.profile_hz),
                            hz=context.profile_hz) as profile:
-        record = _worker(args)
-    after = counters_snapshot()
-    deltas = {name: after[name] - before[name] for name in after}
+        record = _run_task(args)
     pid = os.getpid()
     for span in captured.spans:
         span.setdefault("attrs", {}).setdefault("pid", pid)
-    return (record, deltas, captured.spans, profile.as_payload(),
-            runtime.as_payload())
+    return TaskResult(record, REGISTRY.delta(base), captured.spans,
+                      profile.as_payload(), runtime)
+
+
+def fold_task_result(result: TaskResult) -> Optional[int]:
+    """Fold a pool task's telemetry into this process: the registry delta,
+    the spans (ring buffer and span log — the only way worker spans reach
+    the log), the ``repro_worker_*`` runtime series and any profile.
+    Returns the profile samples added, ``None`` for an unprofiled task.
+    """
+    REGISTRY.merge(result.metrics)
+    TRACER.ingest(result.spans)
+    RUNTIME.ingest(result.runtime)
+    if result.profile is None:
+        return None
+    return PROFILER.ingest(result.profile)
 
 
 # -- persistent warm worker pool ---------------------------------------------
@@ -346,6 +353,9 @@ def _pool_initializer() -> None:
     # the fault layer, and adopt any env-propagated fault plan eagerly.
     faults.mark_worker_process()
     faults.activate_from_env()
+    # Worker spans travel home in the TaskResult for the submitter to log
+    # and warn about: drop the span log and slow-span warning inherited.
+    TRACER.configure(log_path="", slow_span_s=0)
 
 
 def _shutdown_pool() -> None:
@@ -537,11 +547,8 @@ def submit_scenario(scenario_name: str, processes: int,
     as error records), but ``AsyncResult.get()`` can raise for
     infrastructure failures (injected faults, a worker lost mid-task) —
     callers guard it and snapshot :func:`pool_generation` at submit time to
-    detect a pool replaced underneath them.  The async result yields
-    ``(record, perf-counter deltas, spans, profile, runtime)`` so the
-    caller can account the worker's pipeline work — its trace, (with
-    ``profile_hz`` set) its sampled stacks, and its runtime deltas (peak
-    RSS / CPU / GC) — in its own process.
+    detect a pool replaced underneath them.  The async result yields a
+    :class:`TaskResult` for :func:`fold_task_result`.
     ``trace_ctx`` overrides the submitter's ambient trace context (the
     serving layer captures it on the request thread, before the job reaches
     the dispatcher); ``attempt`` labels retry dispatches for deterministic
@@ -555,8 +562,7 @@ def submit_scenario(scenario_name: str, processes: int,
     with _pool_lock:
         pool = _warm_pool(max(1, processes))
         return pool.apply_async(
-            _worker_with_counters,
-            ((scenario, period_s, tuple(baselines), context),))
+            _pool_task, ((scenario, period_s, tuple(baselines), context),))
 
 
 # -- crash-resilient parallel dispatch ----------------------------------------
@@ -651,7 +657,7 @@ def _run_parallel(todo: Sequence[str], processes: int, period_s: float,
             pool = _warm_pool(processes)
             generation = _pool_generation
             handle = pool.apply_async(
-                _worker,
+                _pool_task,
                 ((task.scenario, period_s, tuple(baselines), context),))
         task.handles.append((generation, handle))
         task.deadline = time.monotonic() + task_deadline_s
@@ -703,7 +709,7 @@ def _run_parallel(todo: Sequence[str], processes: int, period_s: float,
         # Collect: first ready dispatch of each task wins; crashed or
         # stale-generation dispatches are dropped.
         for task in list(inflight):
-            record: Optional[SweepRecord] = None
+            result: Optional[TaskResult] = None
             crash: Optional[str] = None
             for entry in list(task.handles):
                 gen, handle = entry
@@ -713,16 +719,17 @@ def _run_parallel(todo: Sequence[str], processes: int, period_s: float,
                 if not handle.ready():
                     continue
                 try:
-                    record = handle.get()
+                    result = handle.get()
                 except Exception as exc:   # noqa: BLE001 — worker lost /
                     # injected fault: an infrastructure failure, retryable.
                     task.handles.remove(entry)
                     crash = f"{type(exc).__name__}: {exc}"
                     continue
                 break
-            if record is not None:
+            if result is not None:
+                fold_task_result(result)
                 inflight.remove(task)
-                done.append(record)
+                done.append(result.record)
                 progressed = True
             elif not task.handles:
                 inflight.remove(task)
@@ -779,7 +786,8 @@ def _run_serial(todo: Sequence[str], period_s: float,
     """The in-process path, with the same retry/quarantine contract.
 
     Only ``raise`` faults fire here (this process must not kill or hang
-    itself), so the retry loop is a plain try/except around the worker.
+    itself), so the retry loop is a plain try/except around the task body,
+    which records its telemetry straight into this process.
     """
     rng = random.Random(0x5EED ^ len(todo))
     done: List[SweepRecord] = []
@@ -789,8 +797,8 @@ def _run_serial(todo: Sequence[str], period_s: float,
             task.attempts += 1
             context = TaskContext.current(attempt=task.attempts - 1)
             try:
-                done.append(_worker((task.scenario, period_s,
-                                     tuple(baselines), context)))
+                done.append(_run_task((task.scenario, period_s,
+                                       tuple(baselines), context)))
                 break
             except FaultInjected as exc:
                 reason = f"{type(exc).__name__}: {exc}"

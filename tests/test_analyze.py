@@ -22,6 +22,7 @@ from repro.obs.analyze import (
     percentile,
     self_times,
 )
+from repro.obs.history import DEFAULT_WINDOW_S, MetricsHistory
 from repro.obs.slo import SLO, DEFAULT_SLOS, SLOEngine, evaluate_spans
 
 
@@ -181,16 +182,38 @@ class TestSLOEngine:
 
     def test_at_risk_when_the_window_burns_hot(self):
         registry = self._registry_with_requests(10_000, 0)
-        engine = SLOEngine(slos=[self._slo()], registry=registry)
-        assert engine.evaluate()["status"] == "ok"
+        history = MetricsHistory(registry=registry)
+        engine = SLOEngine(slos=[self._slo()], registry=registry,
+                           history=history)
+        history.snap(mono=0.0)
+        assert engine.evaluate(now=0.0)["status"] == "ok"
         hist = registry.histogram("repro_http_request_seconds", "t",
                                   labels=("route",))
         for _ in range(50):
             hist.labels(route="/x").observe(5.0)    # a hot window
-        verdict = engine.evaluate()["slos"][0]
+        history.snap(mono=200.0)
+        # The base is the newest snapshot at least DEFAULT_WINDOW_S old.
+        verdict = engine.evaluate(now=DEFAULT_WINDOW_S)["slos"][0]
         # Cumulative compliance still clears 0.99, but the window burns.
         assert verdict["status"] == "at_risk"
         assert verdict["window"]["burn_rate"] > 1.0
+        assert verdict["window"]["total"] == 50
+        # Once the burst is older than the window, it stops burning.
+        later = engine.evaluate(now=200.0 + DEFAULT_WINDOW_S)["slos"][0]
+        assert later["status"] == "ok"
+        assert later["window"]["total"] == 0
+
+    def test_polls_do_not_shrink_each_others_windows(self):
+        registry = self._registry_with_requests(90, 10)
+        history = MetricsHistory(registry=registry)
+        history.snap(mono=0.0)
+        engine = SLOEngine(slos=[self._slo()], registry=registry,
+                           history=history)
+        first = engine.evaluate(now=10.0)["slos"][0]["window"]
+        engine.evaluate(now=10.0)                  # another /slo poller
+        second = engine.evaluate(now=10.0)["slos"][0]["window"]
+        assert first == second
+        assert first["total"] == 0                 # nothing since the base
 
     def test_no_data_without_observations(self):
         engine = SLOEngine(slos=[self._slo()],
@@ -214,11 +237,19 @@ class TestSLOEngine:
 
     def test_metric_reset_starts_a_fresh_window(self):
         registry = self._registry_with_requests(100, 0)
-        engine = SLOEngine(slos=[self._slo()], registry=registry)
-        engine.evaluate()
-        # A "reset": a new registry with fewer observations than last time.
-        engine.registry = self._registry_with_requests(10, 0)
-        verdict = engine.evaluate()["slos"][0]
+        history = MetricsHistory(registry=registry)
+        history.snap(mono=0.0)
+        engine = SLOEngine(slos=[self._slo()], registry=registry,
+                           history=history)
+        engine.evaluate(now=0.0)
+        # A reset: the registry zeroed, then fewer observations than the
+        # window's base snapshot holds.
+        registry.zero()
+        hist = registry.histogram("repro_http_request_seconds", "t",
+                                  labels=("route",))
+        for _ in range(10):
+            hist.labels(route="/x").observe(0.01)
+        verdict = engine.evaluate(now=DEFAULT_WINDOW_S)["slos"][0]
         assert verdict["window"]["total"] == 10   # not negative
 
 

@@ -25,14 +25,15 @@ from repro.obs import (
     group_traces,
     kv,
     load_span_log,
-    register_perf_counters,
     render_timeline,
     setup_logging,
     to_json_line,
 )
 from repro.obs.logs import get_logger
 from repro.perf import fast_path_enabled, set_fast_path
-from repro.sweep.runner import TaskContext, submit_scenario
+from repro.obs.export import chrome_trace
+from repro.sweep import run_sweep
+from repro.sweep.runner import TaskContext, respawn_pool, submit_scenario
 
 # ---------------------------------------------------------------------------
 # helpers / fixtures
@@ -120,7 +121,8 @@ class TestTracer:
         TRACER.configure(sample_rate=1.0)
         with TRACER.start_trace("root"):
             with TRACER.span("work"):
-                perf.COUNTERS.add(events=3, allocations=2)
+                perf.EVENTS.value += 3
+                perf.ALLOCATIONS.value += 2
         work = next(s for s in TRACER.spans() if s["name"] == "work")
         assert work["attrs"]["perf"] == {"events": 3, "allocations": 2}
         root = next(s for s in TRACER.spans() if s["name"] == "root")
@@ -333,14 +335,36 @@ class TestMetrics:
         assert "served_total 2" in text
         assert 'wait_seconds_bucket{q="a",le="0.1"} 1' in text
 
-    def test_reset_keeps_perf_counters_exported(self):
-        reg = MetricsRegistry()
-        register_perf_counters(reg)
-        reg.counter("transient").inc()
-        reg.reset()
-        text = reg.render_prometheus()
-        assert "repro_perf_events_total" in text
-        assert "transient" not in text
+    def test_delta_carries_stored_counters_and_histograms_only(self):
+        worker = MetricsRegistry()
+        jobs = worker.counter("jobs_total", "jobs", labels=("kind",))
+        hist = worker.histogram("stage_seconds", "stages", labels=("stage",),
+                                buckets=(0.1, 1.0))
+        depth = worker.gauge("depth")
+        worker.counter("cpu_seconds_total", fn=lambda: 42.0)
+        jobs.labels(kind="a").inc()
+        base = worker.stored()
+        jobs.labels(kind="a").inc(2)
+        jobs.labels(kind="b").inc()
+        hist.labels(stage="map").observe(0.5)
+        depth.set(9)
+        delta = worker.delta(base)
+        assert sorted(row[0] for row in delta) == \
+            ["jobs_total", "jobs_total", "stage_seconds"]
+        parent = MetricsRegistry()
+        parent.counter("jobs_total", "jobs", labels=("kind",)) \
+            .labels(kind="a").inc(10)
+        parent.merge(delta)
+        parent.merge(worker.delta(worker.stored()))      # nothing new
+        assert parent.value("jobs_total", kind="a") == 12
+        assert parent.value("jobs_total", kind="b") == 1
+        [series] = parent.snapshot()["stage_seconds"]["series"]
+        assert series["labels"] == {"stage": "map"}
+        assert series["count"] == 1 and series["sum"] == 0.5
+        assert series["buckets"] == {"0.1": 0, "1": 1, "+Inf": 1}
+        # Gauges and callback-backed series stay per-process.
+        assert parent.value("depth") is None
+        assert parent.value("cpu_seconds_total") is None
 
     def test_global_registry_exports_subsystem_metrics(self):
         # Importing the instrumented layers registered their metrics
@@ -692,14 +716,17 @@ class TestTaskContext:
         try:
             with TRACER.start_trace("submitter") as root:
                 async_result = submit_scenario("ring-4", processes=1)
-            record, deltas, spans, profile, runtime = \
-                async_result.get(timeout=180)
+            result = async_result.get(timeout=180)
         finally:
             set_fast_path(True)
+        record = result.record
         assert record.ok, record.error
-        assert isinstance(deltas, dict)
-        assert profile is None               # no profile_hz requested
-        by_name = {s["name"]: s for s in spans}
+        # The registry delta carries the worker's pipeline work.
+        grown = {row[0] for row in result.metrics}
+        assert {"repro_perf_allocations_total",
+                "repro_pipeline_stage_seconds"} <= grown
+        assert result.profile is None        # no profile_hz requested
+        by_name = {s["name"]: s for s in result.spans}
         worker = by_name["sweep.run_scenario"]
         # Satellite pin: the submitter's fast_path=False rode along and was
         # applied, whatever state the warm worker was forked under.
@@ -714,14 +741,35 @@ class TestTaskContext:
 
     def test_pool_worker_ships_profile_when_asked(self):
         """``profile_hz`` in the task context arms the worker's sampler and
-        the capture rides home on the result channel."""
+        the capture rides home in the task result."""
         async_result = submit_scenario("wan-grid-3x2", processes=1,
                                        profile_hz=1000)
-        record, _deltas, _spans, profile, _runtime = \
-            async_result.get(timeout=180)
-        assert record.ok, record.error
+        result = async_result.get(timeout=180)
+        assert result.record.ok, result.record.error
+        profile = result.profile
         assert isinstance(profile, dict)
         assert set(profile) == {"stacks", "samples"}
         assert profile["samples"] == sum(profile["stacks"].values())
         assert profile["samples"] > 0, "no samples from a CPU-bound run"
         assert any("repro." in joined for joined in profile["stacks"])
+
+    def test_traced_parallel_sweep_stamps_every_worker_span(self, tmp_path):
+        """Regression: a ``jobs=2`` sweep's worker spans reach the span log
+        through the task result, pid-stamped, so the Perfetto export shows
+        the workers as process tracks of their own."""
+        log = str(tmp_path / "spans.jsonl")
+        TRACER.configure(sample_rate=1.0, log_path=log)
+        respawn_pool("test-fresh-workers")     # fork with the log path set
+        with TRACER.start_trace("cli.sweep"):
+            result = run_sweep(["ring-4", "star-hub-8"], jobs=2,
+                               cache_dir=str(tmp_path / "cache"), rerun=True)
+        assert all(record.ok for record in result.records)
+        spans = load_span_log(log)
+        worker_spans = [s for s in spans if s["name"] != "cli.sweep"]
+        assert {s["name"] for s in worker_spans} >= \
+            {"sweep.run_scenario", "pipeline.map"}
+        pids = {s["attrs"].get("pid") for s in worker_spans}
+        assert None not in pids and os.getpid() not in pids
+        tracks = {e["pid"] for e in chrome_trace(spans)["traceEvents"]
+                  if e["ph"] == "X"}
+        assert len(tracks) > 1

@@ -1,31 +1,48 @@
-"""Tests of the perf plumbing: counter atomicity and the fast-path switch."""
+"""Tests of the perf plumbing: the work counters and the fast-path switch."""
 
 import threading
 
 from repro import perf
+from repro.obs.metrics import REGISTRY, MetricsRegistry
+
+WORK_NAMES = ("events", "allocations", "probe_memo_hits", "route_cache_hits",
+              "route_cache_misses")
+
+
+def _work_delta(**counts):
+    """A registry delta growing the named work counters, as a pool task
+    would ship it home."""
+    worker = MetricsRegistry()
+    base = worker.stored()
+    for name, count in counts.items():
+        worker.counter(f"repro_perf_{name}_total").inc(count)
+    return worker.delta(base)
 
 
 class TestCounterThreadSafety:
     def test_add_and_snapshot_are_mutually_atomic(self):
-        """A snapshot must never observe half of a multi-field update.
+        """A snapshot must never observe half of a multi-counter add.
 
         Regression for the serving layer: ``GET /metrics`` snapshots the
-        counters from the event loop while job/sweep threads bump them.
-        ``add`` commits its deltas under the counter lock, so the paired
-        fields below can never drift apart in any observed snapshot.
+        counters from the event loop while job dispatchers add worker
+        deltas in.  ``merge`` commits a delta under the registry lock, so
+        the paired counters below can never drift apart in any observed
+        snapshot.
         """
-        perf.reset_counters()
+        delta = _work_delta(events=1, allocations=1)
+        base = perf.counters_snapshot()
+        offset = base["events"] - base["allocations"]
         stop = threading.Event()
         torn = []
 
         def writer():
             while not stop.is_set():
-                perf.COUNTERS.add(events=1, allocations=1)
+                REGISTRY.merge(delta)
 
         def reader():
             while not stop.is_set():
                 snap = perf.counters_snapshot()
-                if snap["events"] != snap["allocations"]:
+                if snap["events"] - snap["allocations"] != offset:
                     torn.append(snap)
 
         threads = [threading.Thread(target=writer),
@@ -38,29 +55,30 @@ class TestCounterThreadSafety:
         for thread in threads:
             thread.join()
         timer.cancel()
-        perf.reset_counters()
         assert torn == [], f"snapshot observed torn updates: {torn[:3]}"
 
     def test_reset_is_atomic_under_concurrent_snapshots(self):
-        """Concurrent resets never expose a half-zeroed counter set."""
+        """Concurrent resets (``REGISTRY.zero``) never expose a half-zeroed
+        counter set."""
+        delta = _work_delta(**{name: 5 for name in WORK_NAMES})
+        REGISTRY.zero()
         stop = threading.Event()
         torn = []
 
-        def resetter():
+        def zeroer():
             while not stop.is_set():
-                perf.COUNTERS.add(**{name: 5
-                                     for name in perf.PerfCounters.__slots__})
-                perf.reset_counters()
+                REGISTRY.merge(delta)
+                REGISTRY.zero()
 
         def reader():
             while not stop.is_set():
                 values = set(perf.counters_snapshot().values())
-                # All fields move together (all 0 or all 5); a mixture means
-                # the snapshot interleaved a reset.
+                # All counters move together (all 0 or all 5); a mixture
+                # means the snapshot interleaved a zero or a merge.
                 if len(values) != 1:
                     torn.append(values)
 
-        threads = [threading.Thread(target=resetter),
+        threads = [threading.Thread(target=zeroer),
                    threading.Thread(target=reader)]
         for thread in threads:
             thread.start()
@@ -69,18 +87,31 @@ class TestCounterThreadSafety:
         for thread in threads:
             thread.join()
         timer.cancel()
-        perf.reset_counters()
-        assert torn == [], f"reset interleaved with snapshot: {torn[:3]}"
+        REGISTRY.zero()
+        assert torn == [], f"zero interleaved with snapshot: {torn[:3]}"
 
     def test_snapshot_shape_and_reset(self):
-        perf.reset_counters()
+        REGISTRY.zero()
         snap = perf.counters_snapshot()
-        assert set(snap) == set(perf.PerfCounters.__slots__)
-        assert all(value == 0 for value in snap.values())
-        perf.COUNTERS.add(events=3)
+        assert tuple(snap) == WORK_NAMES
+        assert all(type(value) is int and value == 0
+                   for value in snap.values())
+        perf.EVENTS.value += 3          # the hot loops' bare increment
         assert perf.counters_snapshot()["events"] == 3
-        perf.reset_counters()
+        # The same stored series is what /metrics exports.
+        assert REGISTRY.value("repro_perf_events_total") == 3
+        REGISTRY.zero()
         assert perf.counters_snapshot()["events"] == 0
+
+    def test_work_counters_ride_a_registry_delta(self):
+        base = REGISTRY.stored()
+        perf.ALLOCATIONS.value += 2
+        delta = REGISTRY.delta(base)
+        assert [(row[0], row[-1][0]) for row in delta] == \
+            [("repro_perf_allocations_total", 2.0)]
+        parent = MetricsRegistry()
+        parent.merge(delta)
+        assert parent.value("repro_perf_allocations_total") == 2.0
 
 
 class TestFastPathSwitch:

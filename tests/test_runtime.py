@@ -19,6 +19,7 @@ import gc
 import glob
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -36,15 +37,15 @@ from repro.obs.history import MetricsHistory, base_name, \
     percentile_from_buckets
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.runtime import (
-    RUNTIME,
     RuntimeSampler,
     cpu_seconds,
     open_fds,
+    peak_rss_bytes,
     rss_bytes,
     task_runtime,
 )
 from repro.serve import ReproApp, start_server
-from repro.sweep.runner import submit_scenario
+from repro.sweep.runner import fold_task_result, submit_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -302,44 +303,71 @@ class TestRuntimeSampler:
         assert sampler.loop_lag_s == 0.0        # disarm resets the gauge
 
     def test_task_runtime_capture(self):
-        with task_runtime(interval_s=0.01) as capture:
+        with task_runtime() as payload:
             blob = [list(range(1000)) for _ in range(200)]
             gc.collect()
             del blob
-        payload = capture.as_payload()
         assert payload["pid"] == os.getpid()
         assert payload["peak_rss_bytes"] > 0
         assert payload["cpu_s"] >= 0.0
         assert isinstance(payload["gc_collections"], dict)
+        assert payload["gc_collections"].get("2", 0) >= 1
         json.dumps(payload)                     # pickle/JSON-safe shape
+
+    def test_task_runtime_starts_no_thread(self):
+        before = set(threading.enumerate())
+        with task_runtime():
+            started = set(threading.enumerate()) - before
+        assert not started
+
+    def test_forked_peak_rss_starts_at_the_childs_own_rss(self):
+        # Raise this process' peak by 64 MB, then free it: a forked child's
+        # ru_maxrss must start near its own (smaller) RSS, or a pool
+        # worker's peak would report the parent's.
+        blob = bytearray(64 << 20)
+        for offset in range(0, len(blob), 4096):
+            blob[offset] = 1
+        del blob
+        parent_peak = peak_rss_bytes()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:                                 # the child
+            os.write(write_end, str(peak_rss_bytes()).encode())
+            os._exit(0)
+        os.close(write_end)
+        child_peak = float(os.read(read_end, 64).decode())
+        os.close(read_end)
+        os.waitpid(pid, 0)
+        assert 0 < child_peak < parent_peak - (32 << 20)
 
 
 class TestWorkerRuntimeMerge:
     def test_worker_runtime_ships_home_and_merges(self):
         # The real two-process path: the pool worker captures its runtime
-        # and the payload rides the result channel like perf counters.
+        # and the payload rides home in the task result.
         from repro.obs.trace import TRACER
 
         TRACER.configure(sample_rate=1.0)
         try:
             with TRACER.start_trace("runtime-merge-test"):
                 async_result = submit_scenario("star-hub-8", processes=1)
-            record, deltas, spans, profile, runtime = \
-                async_result.get(timeout=180)
+            result = async_result.get(timeout=180)
         finally:
             TRACER.configure(sample_rate=0.0)
-        assert record.ok, record.error
+        assert result.record.ok, result.record.error
+        runtime = result.runtime
         assert isinstance(runtime, dict)
         assert runtime["pid"] != os.getpid(), \
             "runtime must be captured in the worker process"
         assert runtime["peak_rss_bytes"] > 0
         assert runtime["cpu_s"] >= 0.0
         # Worker spans were pid-stamped for the Perfetto exporter.
-        assert spans, "worker spans expected (sampled trace context)"
-        assert all(s["attrs"].get("pid") == runtime["pid"] for s in spans)
+        assert result.spans, "worker spans expected (sampled trace context)"
+        assert all(s["attrs"].get("pid") == runtime["pid"]
+                   for s in result.spans)
         # The parent folds the payload into repro_worker_* series.
         before = REGISTRY.value("repro_worker_cpu_seconds_total") or 0.0
-        assert RUNTIME.ingest(runtime)
+        fold_task_result(result)
         peak = REGISTRY.value("repro_worker_peak_rss_bytes")
         assert peak is not None and peak >= runtime["peak_rss_bytes"]
         assert REGISTRY.value("repro_worker_cpu_seconds_total") == \

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.obs import TRACER
+from repro.obs import TRACER, load_span_log
 from repro.serve import (
     JobQueue,
     QueueFull,
@@ -29,6 +29,7 @@ from repro.sweep import (
     cache_path,
     default_store_path,
     load_jsonl,
+    respawn_pool,
     run_sweep,
 )
 
@@ -876,6 +877,28 @@ class TestObservability:
             assert {s["trace_id"] for s in TRACER.spans()} == {trace_id}
         _with_app(scenario, cache_dir=str(tmp_path))
 
+    def test_traced_job_writes_each_span_once(self, tmp_path):
+        """Regression: a served job's worker spans reach the span log once,
+        through this process' ingest, never also from the worker."""
+        log = str(tmp_path / "spans.jsonl")
+        TRACER.configure(sample_rate=1.0, log_path=log)
+        respawn_pool("test-fresh-workers")     # fork with the log path set
+
+        async def scenario(app, port):
+            body = json.dumps({"scenario": "ring-4", "rerun": True}).encode()
+            status, _, blob = await _http(port, "POST", "/runs", body=body)
+            assert status == 202
+            job = app.jobs.get(json.loads(blob)["id"])
+            await _wait_done(app.jobs, job, timeout=120)
+            assert job.status == "ok" and not job.cached
+        _with_app(scenario, cache_dir=str(tmp_path / "cache"),
+                  pool_processes=1)
+        spans = load_span_log(log)
+        assert "pipeline.map" in {span["name"] for span in spans}
+        ids = [span["span_id"] for span in spans]
+        assert len(ids) == len(set(ids))
+
+
 # ---------------------------------------------------------------------------
 # obs v2: /profile, /analyze/*, /slo
 
@@ -1016,6 +1039,23 @@ class TestObsAnalytics:
                                        "/analyze/critical-path/absent")
             assert status == 404
         _with_app(scenario, cache_dir=str(tmp_path))
+
+    def test_rerun_job_feeds_the_pipeline_map_slo(self, tmp_path):
+        """Regression: the worker's stage histogram rides the task result
+        home, so /slo grades pipeline-map after a served run."""
+        async def scenario(app, port):
+            body = json.dumps({"scenario": "ring-4", "rerun": True}).encode()
+            status, _, blob = await _http(port, "POST", "/runs", body=body)
+            assert status == 202
+            job = app.jobs.get(json.loads(blob)["id"])
+            await _wait_done(app.jobs, job, timeout=120)
+            assert job.status == "ok" and not job.cached
+            status, _, blob = await _http(port, "GET", "/slo")
+            assert status == 200
+            by_name = {v["name"]: v for v in json.loads(blob)["slos"]}
+            assert by_name["pipeline-map"]["total"] >= 1
+            assert by_name["pipeline-map"]["status"] != "no_data"
+        _with_app(scenario, cache_dir=str(tmp_path), pool_processes=1)
 
     def test_slo_verdicts_from_live_traffic(self, tmp_path):
         async def scenario(app, port):

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.obs.metrics import REGISTRY
 from repro.scenarios import scenario_names
 from repro.scenarios.registry import _REGISTRY, register_scenario
 from repro.sweep import (
@@ -208,6 +209,27 @@ class TestRunSweep:
             assert retry.cache_hits == 0
         finally:
             del _REGISTRY["test-flaky"]
+
+
+    def test_parallel_sweep_counts_scenario_errors_here(self, tmp_path):
+        """Regression: a worker's scenario-error tick rides its task result
+        home, so a ``jobs=2`` sweep counts errors like a ``jobs=1`` one."""
+        for name in ("test-broken-a", "test-broken-b"):
+            register_scenario(name, family="test-internal")(_broken_scenario)
+        try:
+            before = REGISTRY.value("repro_sweep_task_errors_total") or 0.0
+            result = run_sweep(names=["test-broken-a", "test-broken-b"],
+                               jobs=2, cache_dir=str(tmp_path))
+            assert len(result.errors) == 2
+            assert REGISTRY.value("repro_sweep_task_errors_total") == \
+                before + 2
+        finally:
+            for name in ("test-broken-a", "test-broken-b"):
+                del _REGISTRY[name]
+
+
+def _broken_scenario():
+    raise RuntimeError("deliberately broken scenario")
 
 
 class TestResultStore:
