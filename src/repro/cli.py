@@ -147,8 +147,8 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                         help="summary output format (default: table)")
     parser.add_argument("--retries", type=int, default=DEFAULT_RETRIES,
                         help="extra attempts per scenario after an "
-                             "infrastructure failure (worker crash, hang, "
-                             f"pool respawn; default: {DEFAULT_RETRIES})")
+                             "infrastructure failure (dead worker, crash, "
+                             f"deadline; default: {DEFAULT_RETRIES})")
     parser.add_argument("--task-deadline", type=float,
                         default=DEFAULT_TASK_DEADLINE_S, metavar="SECONDS",
                         help="per-task wall-clock deadline; past it the "
@@ -375,12 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
                               "503 (default: 32)")
     p_serve.add_argument("--job-timeout", type=float, default=600.0,
                          metavar="SECONDS",
-                         help="per-job wall-clock timeout; past it the "
-                              "worker is killed and the pool respawned "
-                              "(default: 600)")
+                         help="per-attempt wall-clock deadline of a job; "
+                              "past it the worker is killed, the pool "
+                              "respawned and the attempt retried within "
+                              "--job-retries; a job whose last attempt "
+                              "timed out ends 'timeout' (default: 600)")
     p_serve.add_argument("--job-retries", type=int, default=1,
-                         help="extra attempts per job after its worker dies "
-                              "mid-task (default: 1)")
+                         help="extra attempts per job after an attempt is "
+                              "lost to a dead worker, a crash or the "
+                              "--job-timeout deadline (default: 1)")
     p_serve.add_argument("--breaker-threshold", type=int, default=5,
                          help="consecutive failures of one scenario that "
                               "open its circuit breaker (default: 5)")

@@ -51,6 +51,7 @@ import hashlib
 import json
 import os
 import signal
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -200,6 +201,7 @@ def load_plan(source: str) -> FaultPlan:
 # -- process-wide plan state --------------------------------------------------
 
 _lock = threading.Lock()
+ioutils.fresh_lock_after_fork(sys.modules[__name__])
 _PLAN: Optional[FaultPlan] = None
 #: The serialised plan the current ``_PLAN`` came from; compared against the
 #: environment so :func:`activate_from_env` re-parses only on change.

@@ -14,7 +14,7 @@ except ImportError:          # non-POSIX: appends and rotation run unserialised
     fcntl = None
 
 __all__ = ["write_atomic", "append_line", "rotate_if_needed",
-           "set_write_fault_hook"]
+           "set_write_fault_hook", "fresh_lock_after_fork"]
 
 #: Held by appends from rotation to close and across forks: a child forked
 #: mid-append would inherit the handle, and its flock, for life.
@@ -23,6 +23,21 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(before=_APPEND_LOCK.acquire,
                         after_in_parent=_APPEND_LOCK.release,
                         after_in_child=_APPEND_LOCK.release)
+
+
+def fresh_lock_after_fork(owner: object, name: str = "_lock") -> None:
+    """Give ``owner.<name>`` a fresh lock in every forked child.
+
+    A pool worker forked (by the pool's maintenance thread, say) while
+    another thread holds the lock would inherit it held, and hang on first
+    use.  The child sees the guarded state as the holder left it, possibly
+    mid-update; the telemetry and fault-plan tables this guards tolerate
+    that.
+    """
+    if hasattr(os, "register_at_fork"):
+        os.register_at_fork(
+            after_in_child=lambda: setattr(owner, name, threading.Lock()))
+
 
 #: Fault-injection hook consulted before every write: given the target path,
 #: returns ``None`` (no fault), ``"enospc"`` (raise before writing) or

@@ -35,6 +35,8 @@ import math
 import threading
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..ioutils import fresh_lock_after_fork
+
 __all__ = ["Metric", "MetricsRegistry", "REGISTRY", "DEFAULT_BUCKETS"]
 
 #: Default histogram buckets (seconds) — Prometheus' classic latency
@@ -415,3 +417,4 @@ class MetricsRegistry:
 #: The process-wide registry every layer records into; subsystems register
 #: their metrics at import / construction time.
 REGISTRY = MetricsRegistry()
+fresh_lock_after_fork(REGISTRY)

@@ -38,6 +38,7 @@ from collections import Counter, deque
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..ioutils import fresh_lock_after_fork
 from .logs import get_logger, kv
 
 _LOG = get_logger("obs.profile")
@@ -374,3 +375,4 @@ class Profiler:
 #: the serve layer's ``X-Repro-Profile`` header, a pool task's
 #: ``TaskContext``) arms it.
 PROFILER = Profiler()
+fresh_lock_after_fork(PROFILER)

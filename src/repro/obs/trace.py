@@ -44,7 +44,7 @@ from contextvars import ContextVar
 from typing import Dict, Iterator, List, Optional
 
 from .. import perf
-from ..ioutils import append_line
+from ..ioutils import append_line, fresh_lock_after_fork
 from .logs import get_logger, kv, to_json_line
 
 __all__ = ["Span", "Tracer", "TRACER", "NULL_SPAN"]
@@ -357,3 +357,4 @@ class Tracer:
 #: The process-wide tracer every layer records into.  Disabled (sample
 #: rate 0) until the CLI / serving layer configures it.
 TRACER = Tracer()
+fresh_lock_after_fork(TRACER)

@@ -1,10 +1,11 @@
 """Background pipeline execution for the serving layer.
 
-A bounded queue of *jobs* — one registered scenario each — dispatched onto
-the **shared** warm multiprocessing pool of :mod:`repro.sweep.runner`
-(:func:`~repro.sweep.runner.submit_scenario`; never a second pool), so an
-HTTP-submitted run and a CLI sweep compete for the same workers instead of
-oversubscribing the machine.
+A bounded queue of *jobs* — one registered scenario each — each run by a
+:class:`~repro.sweep.runner.Dispatch` over the **shared** warm
+multiprocessing pool of :mod:`repro.sweep.runner` (never a second pool), so
+an HTTP-submitted run and a CLI sweep compete for the same workers instead
+of oversubscribing the machine, and fail, retry and time out by the same
+rules.
 
 Results flow through exactly the sweep engine's persistence
 (:func:`~repro.sweep.runner.store_record`): the per-scenario cache entry and
@@ -14,16 +15,18 @@ job whose scenario is already cached completes instantly without touching
 the pool.
 
 Lifecycle per job: ``queued`` → ``running`` → one of ``ok`` / ``error`` /
-``timeout`` / ``cancelled``.  Failure handling (PR 8):
+``timeout`` / ``cancelled``.  Failure handling:
 
-* a worker that **dies** mid-task (the dispatcher sees worker pids vanish,
-  or the pool generation change, or ``get()`` raise) costs the job one of
-  its ``retries`` re-dispatches — with backoff — before it is marked
+* an attempt lost to infrastructure — its worker died running it, or
+  the worker raised an injected fault — costs the job one of its
+  ``retries`` re-dispatches, with backoff; out of retries, the job ends
   ``error``; the dispatcher itself always survives;
-* a job past ``timeout_s`` gets **real** timeout semantics: the shared
-  pool is respawned (killing the hung worker — a pool task cannot be
-  killed individually), so the slot is actually freed instead of leaking
-  behind an "abandoned" task;
+* ``timeout_s`` is a per-attempt deadline with **real** timeout
+  semantics: the shared pool is respawned (killing the hung worker — a
+  pool task cannot be killed individually), so the slot is actually freed
+  instead of leaking behind an "abandoned" task.  A timed-out attempt is
+  retried like a lost one; a job whose last attempt timed out ends
+  ``timeout`` and persists nothing;
 * repeated failures of one scenario trip its **circuit breaker**
   (:mod:`repro.serve.breaker`): submissions are refused with 503 until a
   half-open probe succeeds, so a poisoned scenario cannot starve the
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -51,25 +53,16 @@ from ..sweep.results import SweepRecord
 from ..sweep.runner import (
     DEFAULT_BASELINES,
     DEFAULT_CACHE_DIR,
-    fold_task_result,
+    Dispatch,
     load_cached_record,
-    pool_generation,
-    respawn_pool,
     store_record,
-    submit_scenario,
-    worker_deaths,
 )
 from .breaker import BreakerBoard
 
 __all__ = ["Job", "JobQueue", "QueueFull"]
 
-#: How often a dispatcher polls its in-flight pool task.
+#: How often a dispatcher steps its job's Dispatch.
 _POLL_INTERVAL_S = 0.05
-#: How long after observing *some* worker death a dispatcher waits for its
-#: own result before declaring the task lost — a death elsewhere (or a
-#: ``maxtasksperchild`` recycle) usually lets the result land within a poll
-#: or two.
-_DEATH_GRACE_S = 0.25
 
 _LOG = get_logger("serve.jobs")
 
@@ -79,10 +72,6 @@ _LOG = get_logger("serve.jobs")
 _QUEUE_WAIT_SECONDS = REGISTRY.histogram(
     "repro_job_queue_wait_seconds",
     "seconds a job waited in the queue before a dispatcher picked it up")
-_JOB_RETRIES = REGISTRY.counter(
-    "repro_job_retries_total",
-    "serve job re-dispatches after infrastructure failures, by trigger",
-    labels=("reason",))
 _PERSIST_ERRORS = REGISTRY.counter(
     "repro_job_persist_errors_total",
     "job results the cache/store refused to write (kept in memory instead)")
@@ -208,10 +197,10 @@ class JobQueue:
         self._ids = itertools.count(1)
         self._dispatchers: List[asyncio.Task] = []
         self._draining = False
-        self._rng = random.Random(0x0B5E)
         self.completed = 0
-        #: Dispatchers with a pool task in flight right now — the
-        #: pool-utilisation gauge's source (``repro_pool_busy_workers``).
+        #: Dispatchers running a job on the pool right now, retry backoff
+        #: included — the pool-utilisation gauge's source
+        #: (``repro_pool_busy_workers``).
         self._busy = 0
 
     # -- lifecycle ----------------------------------------------------------
@@ -269,7 +258,7 @@ class JobQueue:
         return sum(1 for j in self._jobs.values() if not j.done)
 
     def busy_workers(self) -> int:
-        """Dispatchers currently executing a pool attempt."""
+        """Dispatchers currently running a job on the pool."""
         return self._busy
 
     def queue_depth(self) -> int:
@@ -422,109 +411,38 @@ class JobQueue:
                 self._persist(job, cached)
                 self._finish(job, "ok", record=cached)
                 return
-        # Dispatch onto the shared warm pool and poll without blocking the
-        # event loop.  One overall deadline covers every attempt: a retry
-        # does not extend the client-visible timeout.
-        deadline = time.monotonic() + self.timeout_s
-        attempt = 0
-        while True:
-            outcome = await self._attempt(job, attempt, deadline)
-            if outcome is None:             # terminal inside the attempt
-                return
-            kind, detail = outcome
-            if kind == "ok":
-                return
-            # An infrastructure failure (lost worker, respawned pool,
-            # crashed deserialisation): retry with backoff, then give up.
-            if attempt >= self.retries:
-                self._finish(job, "error",
-                             error=f"worker lost after {attempt + 1} "
-                                   f"attempts ({detail})")
-                return
-            attempt += 1
-            job.retries_used = attempt
-            _JOB_RETRIES.labels(reason=kind).inc()
-            _LOG.warning("event=job_retry %s",
-                         kv(job=job.id, scenario=job.scenario,
-                            attempt=attempt, reason=kind, detail=detail))
-            backoff = min(2.0, 0.1 * (2 ** (attempt - 1))) \
-                * (0.5 + self._rng.random())
-            await asyncio.sleep(backoff)
-
-    async def _attempt(self, job: Job, attempt: int, deadline: float
-                       ) -> Optional[Tuple[str, str]]:
-        """One pool dispatch of ``job``.
-
-        Returns ``("ok", "")`` after finishing the job, a
-        ``(reason, detail)`` pair when the dispatch was lost to
-        infrastructure (caller retries), or ``None`` when the job reached a
-        terminal state here (timeout) or externally (cancelled).
-        """
-        async_result = submit_scenario(job.scenario, self.pool_processes,
-                                       period_s=job.period_s,
-                                       baselines=job.baselines,
-                                       trace_ctx=job.trace_ctx,
-                                       profile_hz=job.profile_hz,
-                                       attempt=attempt)
+        # One Dispatch per job owns the attempt deadline, retries, pool
+        # respawn and worker-death detection; stepping it never blocks.
+        dispatch = Dispatch(self.pool_processes, period_s=job.period_s,
+                            baselines=job.baselines, retries=self.retries,
+                            deadline_s=self.timeout_s)
+        task = dispatch.add(job.scenario, trace_ctx=job.trace_ctx,
+                            profile_hz=job.profile_hz)
         self._busy += 1
         try:
-            return await self._await_attempt(job, async_result, deadline)
+            while not dispatch.step():
+                # A cancelled job's dispatcher keeps draining its worker
+                # before taking new work (returning early would over-commit
+                # the pool), but starts no retry.
+                if job.done and task.handle is None:
+                    return
+                await asyncio.sleep(_POLL_INTERVAL_S)
         finally:
             self._busy -= 1
-
-    async def _await_attempt(self, job: Job, async_result, deadline: float
-                             ) -> Optional[Tuple[str, str]]:
-        # Snapshot *after* submit: warming a fresh pool bumps the
-        # generation, and that must not read as a mid-task respawn.
-        generation = pool_generation()
-        deaths = worker_deaths()
-        death_seen_at: Optional[float] = None
-        while not async_result.ready():
-            now = time.monotonic()
-            if now > deadline:
-                # True timeout semantics: the hung worker cannot be killed
-                # individually, so the pool is respawned — the slot is
-                # genuinely freed for the next job instead of leaking
-                # behind an abandoned task.
-                respawn_pool("job-timeout")
-                if not job.done:
-                    self._finish(job, "timeout",
-                                 error=f"job exceeded {self.timeout_s:g}s; "
-                                       "its worker was killed and the pool "
-                                       "respawned")
-                return None
-            if pool_generation() != generation:
-                # The pool was torn down underneath us (another job's
-                # timeout, a sweep's deadline): this AsyncResult will never
-                # complete.
-                return ("pool-respawn", "pool respawned mid-task")
-            if worker_deaths() > deaths:
-                # Some worker vanished; ours may be the casualty.  Give a
-                # short grace for a surviving result to land, then retry.
-                if death_seen_at is None:
-                    death_seen_at = now
-                elif now - death_seen_at > _DEATH_GRACE_S:
-                    return ("worker-death",
-                            "a pool worker died with a task in flight")
-            # A cancelled job's dispatcher keeps draining the worker before
-            # taking new work (returning early would over-commit the pool);
-            # the deadline above bounds even that drain.
-            await asyncio.sleep(_POLL_INTERVAL_S)
+        job.retries_used = task.attempts - 1
         if job.done:                        # cancelled mid-flight: discard
-            return None
-        try:
-            result = async_result.get()   # repro: noqa[RC004] — .ready()
-            # was polled above, so this get() returns without blocking
-        except Exception as exc:            # noqa: BLE001 — a worker that
-            # died mid-task (or injected chaos) surfaces here; the
-            # dispatcher must survive it and retry, not die with it.
-            return ("worker-crash", f"{type(exc).__name__}: {exc}")
-        # The pipeline ran in a pool worker: fold its telemetry in so
-        # /metrics, /slo, GET /trace/{id} and GET /profile here reflect it.
-        samples = fold_task_result(result)
-        if samples is not None:
-            job.profile_samples = samples
-        record = result.record
-        self._persist(job, record)
-        self._finish(job, "ok" if record.ok else "error", record=record)
-        return ("ok", "")
+            return
+        if task.failure == "deadline":
+            self._finish(job, "timeout",
+                         error=f"attempt {task.attempts} exceeded "
+                               f"{self.timeout_s:g}s; its worker was killed "
+                               "and the pool respawned")
+        elif task.failure is not None:
+            self._finish(job, "error",
+                         error=f"worker lost after {task.attempts} "
+                               f"attempts ({task.detail})")
+        else:
+            job.profile_samples = task.profile_samples
+            self._persist(job, task.record)
+            self._finish(job, "ok" if task.record.ok else "error",
+                         record=task.record)

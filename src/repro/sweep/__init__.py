@@ -19,13 +19,11 @@ from .runner import (
     cache_path,
     code_version,
     load_cached_record,
-    pool_generation,
     respawn_pool,
     run_scenario,
     run_sweep,
     store_record,
     submit_scenario,
-    worker_deaths,
 )
 
 __all__ = [
@@ -35,7 +33,7 @@ __all__ = [
     "SweepResult", "run_sweep", "run_scenario",
     "cache_path", "code_version",
     "load_cached_record", "store_record", "submit_scenario",
-    "pool_generation", "respawn_pool", "worker_deaths",
+    "respawn_pool",
     "DEFAULT_CACHE_DIR", "DEFAULT_BASELINES",
     "DEFAULT_RETRIES", "DEFAULT_TASK_DEADLINE_S",
 ]

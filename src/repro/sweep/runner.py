@@ -16,37 +16,32 @@ cache, editing a scenario's parameters invalidates that scenario only, and
 sweeping with different run parameters (``period_s`` / ``baselines``) uses
 separate cache entries.
 
-Crash resilience (PR 8): parallel dispatch is per-task ``apply_async`` —
-slightly more IPC than chunked ``imap_unordered``, but each task gets a
-deadline, a retry budget and an owner that can observe its fate.  A worker
-killed mid-task (OOM, segfault, injected fault) no longer wedges the sweep:
-the pool's maintenance thread replaces the process, the engine notices the
-death by polling worker pids and re-dispatches in-flight tasks
-(first-completed-dispatch-wins, so ``maxtasksperchild`` recycling false
-positives are harmless), a hung task trips its per-task deadline, which
-respawns the pool and requeues the innocent bystanders without burning
-their retry budget.  Retries back off exponentially with seeded jitter; a
-task that exhausts ``retries`` is quarantined as a ``status="failed"``
-record instead of sinking the sweep.  Every retry, respawn, death,
-deadline and quarantine is a :mod:`repro.obs` counter plus a structured
-log line.
+Crash resilience: every parallel task, a sweep's or a served job's, goes
+through one engine, :class:`Dispatch`: per-task deadlines, exact
+worker-death detection, retries with seeded backoff and quarantine as a
+``status="failed"`` record.  Every retry, respawn, death, deadline and
+quarantine is a :mod:`repro.obs` counter plus a structured log line.
 """
 
 from __future__ import annotations
 
 import atexit
 import hashlib
+import itertools
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import random
+import struct
 import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from multiprocessing.connection import Connection
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import render_table
 from ..dynamics import DynamicScenario, run_replay
@@ -68,12 +63,11 @@ from .results import (
     summary_rows,
 )
 
-__all__ = ["SweepResult", "TaskContext", "TaskResult", "code_version",
-           "cache_path", "run_scenario", "run_sweep", "load_cached_record",
-           "store_record", "submit_scenario", "fold_task_result",
-           "respawn_pool", "pool_generation",
-           "worker_deaths", "DEFAULT_CACHE_DIR", "DEFAULT_BASELINES",
-           "DEFAULT_RETRIES", "DEFAULT_TASK_DEADLINE_S"]
+__all__ = ["SweepResult", "TaskContext", "TaskResult", "Dispatch",
+           "code_version", "cache_path", "run_scenario", "run_sweep",
+           "load_cached_record", "store_record", "submit_scenario",
+           "fold_task_result", "respawn_pool", "DEFAULT_CACHE_DIR",
+           "DEFAULT_BASELINES", "DEFAULT_RETRIES", "DEFAULT_TASK_DEADLINE_S"]
 
 DEFAULT_CACHE_DIR = ".sweep-cache"
 #: Baselines evaluated per scenario; a subset of the CLI ``quality`` set to
@@ -84,8 +78,7 @@ DEFAULT_RETRIES = 2
 #: Per-task wall-clock deadline; expiring it respawns the pool.
 DEFAULT_TASK_DEADLINE_S = 600.0
 #: Worker processes are recycled after this many tasks — bounded drift for
-#: leaky native code, and a standing exercise of the death-tolerant
-#: dispatch path.
+#: leaky native code.  A recycle exits 0 and is not a worker death.
 DEFAULT_MAXTASKSPERCHILD = 256
 
 _LOG = get_logger("sweep")
@@ -95,20 +88,20 @@ _TASK_ERRORS = REGISTRY.counter(
     "scenario runs that produced an error record")
 _TASK_RETRIES = REGISTRY.counter(
     "repro_sweep_task_retries_total",
-    "sweep task re-dispatches, by trigger",
+    "pool task re-dispatches (sweep tasks and served jobs), by trigger",
     labels=("reason",))
 _TASKS_QUARANTINED = REGISTRY.counter(
     "repro_sweep_tasks_quarantined_total",
-    "sweep tasks marked failed after exhausting their retry budget")
+    "pool tasks marked failed after exhausting their retry budget")
 _POOL_RESPAWNS = REGISTRY.counter(
     "repro_sweep_pool_respawns_total",
     "worker pool teardowns forced by deadlines, timeouts or callers")
 _WORKER_DEATHS = REGISTRY.counter(
     "repro_sweep_worker_deaths_total",
-    "pool worker processes observed to have disappeared")
+    "pool worker processes that exited with a non-zero code")
 _TASK_DEADLINES = REGISTRY.counter(
     "repro_sweep_task_deadlines_total",
-    "sweep tasks that exceeded their per-task deadline")
+    "pool task attempts that exceeded their deadline")
 _STORE_WRITE_ERRORS = REGISTRY.counter(
     "repro_sweep_store_write_errors_total",
     "cache/store writes that failed (sweep degraded, results kept in memory)")
@@ -142,6 +135,10 @@ class TaskContext:
     #: than living in worker state) so fault plans can target "attempt 0
     #: only" deterministically across pool respawns.
     attempt: int = 0
+    #: The :class:`Dispatch` attempt this task is; the worker reports it
+    #: with its pid on pick-up, so a worker death fails this task only.
+    #: ``0``: no dispatch is watching.
+    dispatch_id: int = 0
 
     @classmethod
     def current(cls, attempt: int = 0) -> "TaskContext":
@@ -303,6 +300,11 @@ def _pool_task(args: Tuple[Scenario, float, Tuple[str, ...], TaskContext]
     worker runs one task at a time, so the delta and spans are this task's.
     """
     context = args[3]
+    # The pick-up report: one write below PIPE_BUF is atomic, so the
+    # workers share the pipe without a lock.
+    if _worker_pickups is not None:
+        _worker_pickups.send_bytes(_PICKUP.pack(os.getpid(),
+                                                context.dispatch_id))
     base = REGISTRY.stored()
     with TRACER.capture() as captured, \
             task_runtime() as runtime, \
@@ -335,20 +337,50 @@ def fold_task_result(result: TaskResult) -> Optional[int]:
 # and module import for every call; repeated sweeps (the CLI's dynamics run
 # after a static sweep, test suites, notebook loops) reuse one warm pool as
 # long as the requested worker count matches.  A generation counter is bumped
-# on every teardown/creation so dispatchers holding AsyncResults can tell
-# when their pool was replaced underneath them (the results will never
+# on every teardown/creation so a Dispatch holding AsyncResults can tell
+# when its pool was replaced underneath it (the results will never
 # complete) and re-dispatch.
+#
+# Worker deaths are exact.  Each worker reports ``(pid, dispatch id)`` on a
+# one-way pipe as it picks a task up, and the pool lists every worker it
+# starts, so the submitter reads each exit code even after the pool reaped
+# the worker.  A non-zero exit fails the task that worker picked up last.
+
+#: A pick-up report, ``(pid, dispatch id)``: far below ``PIPE_BUF``.
+_PICKUP = struct.Struct("!qq")
 
 _pool: Optional[multiprocessing.pool.Pool] = None
 _pool_processes = 0
 _pool_maxtasks: Optional[int] = None
 _pool_generation = 0
-_pool_pids: Set[int] = set()
-_pool_deaths = 0
 _pool_lock = threading.RLock()
+#: Every worker the current pool started whose exit is not read yet.
+#: Appended by the pool's maintenance thread, which must not take
+#: ``_pool_lock`` (a teardown holds it while joining that thread).
+_pool_workers: List[multiprocessing.process.BaseProcess] = []
+#: Both ends of the current pool's pick-up pipe (read end first).
+_pool_pickups: Optional[Tuple[Connection, Connection]] = None
+#: pid -> the dispatch id that worker picked up last.
+_picked: Dict[int, int] = {}
+#: dispatch id -> how its worker died under it, until its Dispatch reads it.
+_lost: Dict[int, str] = {}
+_dispatch_ids = itertools.count(1)
+#: In a pool worker: the write end of the pick-up pipe.
+_worker_pickups: Optional[Connection] = None
 
 
-def _pool_initializer() -> None:
+class _Pool(multiprocessing.pool.Pool):
+    """A pool that lists every worker it starts in ``_pool_workers``."""
+
+    @staticmethod
+    def Process(ctx, *args, **kwds):
+        process = ctx.Process(*args, **kwds)
+        _pool_workers.append(process)
+        return process
+
+
+def _pool_initializer(pickups: Connection) -> None:
+    global _worker_pickups
     # Runs in each worker at start: mark the process as killable/hangable by
     # the fault layer, and adopt any env-propagated fault plan eagerly.
     faults.mark_worker_process()
@@ -356,16 +388,57 @@ def _pool_initializer() -> None:
     # Worker spans travel home in the TaskResult for the submitter to log
     # and warn about: drop the span log and slow-span warning inherited.
     TRACER.configure(log_path="", slow_span_s=0)
+    _worker_pickups = pickups
+
+
+def _reap_workers() -> None:
+    """Read worker exits and pick-up reports; call under ``_pool_lock``.
+
+    Exit codes are read before the pipe is drained: a worker writes its
+    report before it can die, so every dead worker's last report is in.
+    """
+    exited = [(worker, worker.exitcode) for worker in list(_pool_workers)]
+    reader = _pool_pickups[0]
+    while reader.poll():
+        pid, dispatch_id = _PICKUP.unpack(reader.recv_bytes())
+        _picked[pid] = dispatch_id
+    for worker, code in exited:
+        if code is None:
+            continue
+        _pool_workers.remove(worker)
+        dispatch_id = _picked.pop(worker.pid, None)
+        if code == 0:                # a maxtasksperchild recycle
+            continue
+        _WORKER_DEATHS.inc()
+        _LOG.warning("event=worker_death %s",
+                     kv(pid=worker.pid, exitcode=code,
+                        dispatch=dispatch_id, generation=_pool_generation))
+        if dispatch_id is not None:
+            _lost[dispatch_id] = f"worker {worker.pid} exited with code {code}"
+
+
+def _lost_dispatches(dispatch_ids: Sequence[int]) -> Dict[int, str]:
+    """Which of ``dispatch_ids`` lost their worker, and how."""
+    with _pool_lock:
+        if _pool is not None:
+            _reap_workers()
+        return {i: _lost.pop(i) for i in dispatch_ids if i in _lost}
 
 
 def _shutdown_pool() -> None:
-    global _pool, _pool_processes, _pool_maxtasks, _pool_generation
+    global _pool, _pool_processes, _pool_maxtasks, _pool_generation, \
+        _pool_pickups
     with _pool_lock:
         if _pool is not None:
-            _pool_pids.clear()       # terminated on purpose: not "deaths"
+            _reap_workers()          # deaths before the teardown still count
             _pool.terminate()
             _pool.join()
+            _pool_workers.clear()    # terminated on purpose: not deaths
+            _picked.clear()
+            for end in _pool_pickups:
+                end.close()
             _pool = None
+            _pool_pickups = None
             _pool_processes = 0
             _pool_maxtasks = None
             _pool_generation += 1
@@ -386,41 +459,31 @@ def _warm_pool(processes: int,
     sweeps with stable parameters, the case warmth pays off in, still hit
     it.
     """
-    global _pool, _pool_processes, _pool_maxtasks, _pool_generation
+    global _pool, _pool_processes, _pool_maxtasks, _pool_generation, \
+        _pool_pickups
     with _pool_lock:
         if _pool is not None and (_pool_processes != processes
                                   or _pool_maxtasks != maxtasksperchild):
             _shutdown_pool()
         if _pool is None:
-            _pool = multiprocessing.Pool(processes=processes,
-                                         initializer=_pool_initializer,
-                                         maxtasksperchild=maxtasksperchild)
+            # A Connection, unlike a raw fd, also reaches spawned workers.
+            _pool_pickups = multiprocessing.Pipe(duplex=False)
+            _pool = _Pool(processes=processes,
+                          initializer=_pool_initializer,
+                          initargs=(_pool_pickups[1],),
+                          maxtasksperchild=maxtasksperchild)
             _pool_processes = processes
             _pool_maxtasks = maxtasksperchild
             _pool_generation += 1
-            _pool_pids.clear()
-            _pool_pids.update(p.pid for p in _pool._pool)
         return _pool
-
-
-def pool_generation() -> int:
-    """Current pool generation; bumped on every teardown *and* creation.
-
-    An ``AsyncResult`` obtained under one generation is dead the moment the
-    generation changes — its worker was terminated, so it will never become
-    ready.  Dispatchers snapshot the generation at submit time and compare.
-    """
-    with _pool_lock:
-        return _pool_generation
 
 
 def respawn_pool(reason: str) -> None:
     """Tear the shared pool down so its next use starts fresh workers.
 
     The recovery hammer for hung or poisoned workers (a pool task cannot
-    be cancelled individually).  In-flight tasks die with their workers —
-    callers requeue what they still care about.  A no-op without a live
-    pool.
+    be cancelled individually).  In-flight tasks die with their workers;
+    a :class:`Dispatch` requeues its own.  A no-op without a live pool.
     """
     with _pool_lock:
         if _pool is None:
@@ -430,31 +493,6 @@ def respawn_pool(reason: str) -> None:
                      kv(reason=reason, generation=_pool_generation,
                         processes=_pool_processes))
         _shutdown_pool()
-
-
-def worker_deaths() -> int:
-    """Cumulative count of pool worker processes observed to have vanished.
-
-    Poll-based: compares the live worker pid set against the last poll.
-    ``maxtasksperchild`` recycling also replaces pids, so a "death" here is
-    a *hint* (redispatch in-flight work, first completion wins), never a
-    verdict.  Deliberate teardowns don't count.
-    """
-    global _pool_deaths
-    with _pool_lock:
-        if _pool is None:
-            return _pool_deaths
-        live = {p.pid for p in _pool._pool}
-        gone = _pool_pids - live
-        if gone:
-            _pool_deaths += len(gone)
-            _WORKER_DEATHS.inc(len(gone))
-            _LOG.warning("event=worker_death %s",
-                         kv(pids=",".join(str(p) for p in sorted(gone)),
-                            generation=_pool_generation))
-        _pool_pids.clear()
-        _pool_pids.update(live)
-        return _pool_deaths
 
 
 @dataclass
@@ -536,44 +574,46 @@ def submit_scenario(scenario_name: str, processes: int,
                     trace_ctx: Optional[Dict[str, str]] = None,
                     profile_hz: int = 0,
                     attempt: int = 0,
+                    dispatch_id: int = 0,
                     ) -> "multiprocessing.pool.AsyncResult":
     """Dispatch one scenario run onto the shared warm pool, asynchronously.
 
-    Used by the serving layer (:mod:`repro.serve.jobs`): HTTP-submitted runs
-    execute in the *same* warm worker pool the sweep engine uses — one pool
-    per process, never a second one — and the caller polls the returned
-    :class:`~multiprocessing.pool.AsyncResult` without blocking an event
-    loop.  The worker never raises for *scenario* failures (they come back
-    as error records), but ``AsyncResult.get()`` can raise for
-    infrastructure failures (injected faults, a worker lost mid-task) —
-    callers guard it and snapshot :func:`pool_generation` at submit time to
-    detect a pool replaced underneath them.  The async result yields a
-    :class:`TaskResult` for :func:`fold_task_result`.
-    ``trace_ctx`` overrides the submitter's ambient trace context (the
-    serving layer captures it on the request thread, before the job reaches
-    the dispatcher); ``attempt`` labels retry dispatches for deterministic
-    fault targeting.
+    The one submit primitive: :class:`Dispatch` — and through it the sweep
+    and the serving layer's job queue — submits every pool task here, so
+    HTTP-submitted runs execute in the *same* warm worker pool the sweep
+    uses, one pool per process.  The worker never raises for *scenario*
+    failures (they come back as error records); ``AsyncResult.get()`` can
+    raise for injected faults, and a result whose worker died never
+    arrives — the deadlines, retries and death detection that handle both
+    live in :class:`Dispatch`.  The async result yields a
+    :class:`TaskResult` for :func:`fold_task_result`.  ``trace_ctx``
+    overrides the submitter's ambient trace context (the serving layer
+    captures it on the request thread, before the job reaches the
+    dispatcher); ``attempt`` labels retry dispatches for deterministic
+    fault targeting; ``dispatch_id`` is what the worker reports on pick-up.
     """
     scenario = get_scenario(scenario_name)
     context = TaskContext(fast_path=fast_path_enabled(),
                           trace=trace_ctx or TRACER.current_context(),
                           profile_hz=profile_hz,
-                          attempt=attempt)
+                          attempt=attempt,
+                          dispatch_id=dispatch_id)
     with _pool_lock:
         pool = _warm_pool(max(1, processes))
         return pool.apply_async(
             _pool_task, ((scenario, period_s, tuple(baselines), context),))
 
 
-# -- crash-resilient parallel dispatch ----------------------------------------
+# -- crash-resilient dispatch ---------------------------------------------------
 
-#: Engine poll interval; small enough that deadlines in the 100ms range
+#: Sweep poll interval; small enough that deadlines in the 100ms range
 #: (chaos tests) are honoured promptly.
 _POLL_S = 0.01
 #: Base of the retry backoff ladder: 0.05, 0.1, 0.2, ... capped at 2s,
 #: scaled by seeded jitter in [0.5, 1.5).
 _BACKOFF_BASE_S = 0.05
 _BACKOFF_CAP_S = 2.0
+_BACKOFF_SEED = 0x5EED
 
 
 @dataclass
@@ -581,35 +621,34 @@ class _Task:
     """Book-keeping for one scenario making its way through the pool."""
 
     scenario: Scenario
+    #: The submitter's trace context and profiler rate for every attempt.
+    trace_ctx: Optional[Dict[str, str]] = None
+    profile_hz: int = 0
     #: Dispatches started (== 1 + retries used).  Also the source of the
     #: 0-based ``TaskContext.attempt`` of the next dispatch.
     attempts: int = 0
-    #: Live dispatches as ``(pool generation at submit, AsyncResult)``.
-    #: Usually one; a worker-death redispatch makes it two, and the first
-    #: to complete wins.
-    handles: List[Tuple[int, "multiprocessing.pool.AsyncResult"]] = \
-        field(default_factory=list)
-    #: Monotonic instant the newest dispatch expires.
+    #: The live dispatch: its id, its one AsyncResult (``None`` while the
+    #: task is queued) and the pool generation it was submitted to.
+    dispatch_id: int = 0
+    handle: Optional["multiprocessing.pool.AsyncResult"] = None
+    generation: int = 0
+    #: Monotonic instant the live dispatch expires.
     deadline: float = 0.0
     #: Monotonic instant before which a requeued task must not redispatch
     #: (exponential backoff).
     not_before: float = 0.0
+    #: Once settled: the worker's record, or the quarantine record.
+    record: Optional[SweepRecord] = None
+    #: The last failed attempt's reason label and detail; ``failure`` is
+    #: ``None`` once an attempt succeeded.
+    failure: Optional[str] = None
+    detail: str = ""
+    #: Profile samples the settled task folded in (``None``: unprofiled).
+    profile_samples: Optional[int] = None
 
     @property
     def name(self) -> str:
         return self.scenario.name
-
-
-def _quarantine_record(task: _Task, reason: str) -> SweepRecord:
-    return SweepRecord(
-        scenario=task.scenario.name,
-        family=task.scenario.family,
-        scenario_hash=task.scenario.content_hash,
-        code_version=code_version(),
-        status="failed",
-        error=(f"quarantined after {task.attempts} attempts "
-               f"(last failure: {reason})"),
-    )
 
 
 def _backoff_s(attempts: int, rng: random.Random) -> float:
@@ -617,203 +656,200 @@ def _backoff_s(attempts: int, rng: random.Random) -> float:
     return base * (0.5 + rng.random())
 
 
+def _book_failure(task: _Task, reason: str, detail: str,
+                  retries: int) -> bool:
+    """Book one failed attempt of ``task``; ``True`` when it may retry.
+
+    ``reason`` (``crash``, ``deadline`` or ``worker-death``) labels the
+    retry counter; ``detail`` — an exception text, say — goes to the log
+    line and the quarantine record only.  Out of budget, the task is
+    quarantined: ``task.record`` becomes a ``status="failed"`` record.
+    """
+    task.failure, task.detail = reason, detail
+    if task.attempts > retries:
+        _TASKS_QUARANTINED.inc()
+        _LOG.error("event=task_quarantined %s",
+                   kv(scenario=task.name, attempts=task.attempts,
+                      reason=reason, detail=detail))
+        task.record = SweepRecord(
+            scenario=task.name,
+            family=task.scenario.family,
+            scenario_hash=task.scenario.content_hash,
+            code_version=code_version(),
+            status="failed",
+            error=(f"quarantined after {task.attempts} attempts "
+                   f"(last failure: {detail})"))
+        return False
+    _TASK_RETRIES.labels(reason=reason).inc()
+    _LOG.warning("event=task_retry %s",
+                 kv(scenario=task.name, attempt=task.attempts,
+                    reason=reason, detail=detail))
+    return True
+
+
+class Dispatch:
+    """One caller's scenarios over the warm pool, stepped without blocking.
+
+    :meth:`add` queues a scenario; each :meth:`step` settles what it can
+    and refills the window (at most ``processes`` tasks in flight, so a
+    deadline measures runtime, not queue wait).  ``run_sweep`` steps one
+    between ``time.sleep`` polls, a served job between ``await
+    asyncio.sleep`` polls, so no thread waits on a worker.
+
+    * **crash** — a dispatch whose result raises (an injected fault) is
+      retried with backoff;
+    * **worker death** — a worker that exits with a non-zero code fails
+      exactly the task it picked up last; the tasks beside it run on;
+    * **deadline** — a task outliving ``deadline_s`` cannot be cancelled
+      individually, so the pool is respawned: the expired task burns a
+      retry, and every task the respawn killed — this dispatch's or
+      another's — requeues for free (``pool-respawn``);
+    * **quarantine** — after ``retries + 1`` failed attempts a task
+      settles with a ``status="failed"`` record.
+    """
+
+    def __init__(self, processes: int, period_s: float = 60.0,
+                 baselines: Sequence[str] = DEFAULT_BASELINES,
+                 retries: int = DEFAULT_RETRIES,
+                 deadline_s: float = DEFAULT_TASK_DEADLINE_S) -> None:
+        self.processes = max(1, processes)
+        self.period_s = period_s
+        self.baselines = tuple(baselines)
+        self.retries = retries
+        self.deadline_s = deadline_s
+        self.pending: "deque[_Task]" = deque()
+        self.inflight: List[_Task] = []
+        self._rng = random.Random(_BACKOFF_SEED)
+
+    @property
+    def active(self) -> int:
+        """Tasks added and not settled yet."""
+        return len(self.pending) + len(self.inflight)
+
+    def add(self, scenario_name: str,
+            trace_ctx: Optional[Dict[str, str]] = None,
+            profile_hz: int = 0) -> _Task:
+        """Queue one run of ``scenario_name``; returns its task."""
+        task = _Task(get_scenario(scenario_name), trace_ctx=trace_ctx,
+                     profile_hz=profile_hz)
+        self.pending.append(task)
+        return task
+
+    def step(self) -> List[_Task]:
+        """Advance every task once; returns the tasks that settled."""
+        settled: List[_Task] = []
+        if self.inflight:
+            now = time.monotonic()
+            expired = [t for t in self.inflight
+                       if now > t.deadline and not t.handle.ready()]
+            if expired:
+                _TASK_DEADLINES.inc(len(expired))
+                respawn_pool("task-deadline")
+            lost = _lost_dispatches([t.dispatch_id for t in self.inflight])
+            for task in list(self.inflight):
+                if task.handle.ready():
+                    try:
+                        result = task.handle.get()
+                    except Exception as exc:   # raised in the worker
+                        self._fail(task, "crash",
+                                   f"{type(exc).__name__}: {exc}", settled)
+                    else:
+                        task.profile_samples = fold_task_result(result)
+                        task.record, task.failure = result.record, None
+                        settled.append(task)
+                elif task in expired:
+                    self._fail(task, "deadline",
+                               f"exceeded the {self.deadline_s:g}s deadline",
+                               settled)
+                elif task.dispatch_id in lost:
+                    self._fail(task, "worker-death", lost[task.dispatch_id],
+                               settled)
+                elif task.generation != _pool_generation:
+                    # The pool was respawned under it: requeue for free.
+                    task.attempts -= 1
+                    _TASK_RETRIES.labels(reason="pool-respawn").inc()
+                    self.pending.append(task)
+                else:
+                    continue
+                self.inflight.remove(task)
+                task.handle = None
+        self._fill()
+        return settled
+
+    def _fail(self, task: _Task, reason: str, detail: str,
+              settled: List[_Task]) -> None:
+        if _book_failure(task, reason, detail, self.retries):
+            task.not_before = time.monotonic() + _backoff_s(task.attempts,
+                                                            self._rng)
+            self.pending.append(task)
+        else:
+            settled.append(task)
+
+    def _fill(self) -> None:
+        """Dispatch queued tasks up to the window, passing over those still
+        backing off so they don't hold up the ready ones behind them."""
+        now = time.monotonic()
+        for _ in range(len(self.pending)):
+            if len(self.inflight) >= self.processes:
+                return
+            task = self.pending.popleft()
+            if task.not_before > now:
+                self.pending.append(task)
+                continue
+            task.attempts += 1
+            with _pool_lock:
+                task.dispatch_id = next(_dispatch_ids)
+                task.handle = submit_scenario(
+                    task.name, self.processes, period_s=self.period_s,
+                    baselines=self.baselines, trace_ctx=task.trace_ctx,
+                    profile_hz=task.profile_hz, attempt=task.attempts - 1,
+                    dispatch_id=task.dispatch_id)
+                task.generation = _pool_generation
+            task.deadline = time.monotonic() + self.deadline_s
+            self.inflight.append(task)
+
+
 def _run_parallel(todo: Sequence[str], processes: int, period_s: float,
                   baselines: Sequence[str], retries: int,
                   task_deadline_s: float) -> List[SweepRecord]:
-    """Dispatch ``todo`` over the warm pool, surviving crashes and hangs.
-
-    Windowed per-task ``apply_async`` (at most ``processes`` primary
-    dispatches in flight, so a task's deadline measures *runtime*, not
-    queue wait), with:
-
-    * **crash retry** — a dispatch whose ``get()`` raises (injected fault,
-      worker lost with a task mid-pickle) requeues with backoff until the
-      budget runs out, then quarantines;
-    * **death redispatch** — when worker pids vanish, every in-flight task
-      with budget gets a second concurrent dispatch; whichever completes
-      first wins (harmless for ``maxtasksperchild`` false positives);
-    * **deadline respawn** — a task outliving ``task_deadline_s`` cannot be
-      cancelled individually, so the pool is respawned; the expired task
-      burns a retry, innocent in-flight tasks requeue for free;
-    * **quarantine** — after ``retries + 1`` failed attempts a task becomes
-      a ``status="failed"`` record and the sweep moves on.
-    """
-    rng = random.Random(0x5EED ^ len(todo))
-    pending: "deque[_Task]" = deque(_Task(scenario=get_scenario(name))
-                                    for name in todo)
-    inflight: List[_Task] = []
+    """Step one :class:`Dispatch` over ``todo`` until every task settles."""
+    dispatch = Dispatch(processes, period_s=period_s, baselines=baselines,
+                        retries=retries, deadline_s=task_deadline_s)
+    for name in todo:
+        dispatch.add(name)
     done: List[SweepRecord] = []
-    deaths_seen = worker_deaths()
-
-    def dispatch(task: _Task, reason: Optional[str] = None) -> None:
-        task.attempts += 1
-        if reason is not None:
-            _TASK_RETRIES.labels(reason=reason).inc()
-            _LOG.warning("event=task_retry %s",
-                         kv(scenario=task.name, attempt=task.attempts - 1,
-                            reason=reason))
-        context = TaskContext.current(attempt=task.attempts - 1)
-        with _pool_lock:
-            pool = _warm_pool(processes)
-            generation = _pool_generation
-            handle = pool.apply_async(
-                _pool_task,
-                ((task.scenario, period_s, tuple(baselines), context),))
-        task.handles.append((generation, handle))
-        task.deadline = time.monotonic() + task_deadline_s
-
-    def settle_failure(task: _Task, reason: str) -> None:
-        """A task lost its last live dispatch: requeue or quarantine."""
-        task.handles.clear()
-        if task.attempts >= retries + 1:
-            _TASKS_QUARANTINED.inc()
-            _LOG.error("event=task_quarantined %s",
-                       kv(scenario=task.name, attempts=task.attempts,
-                          reason=reason))
-            done.append(_quarantine_record(task, reason))
-        else:
-            _TASK_RETRIES.labels(reason=reason).inc()
-            task.not_before = time.monotonic() + _backoff_s(task.attempts,
-                                                            rng)
-            _LOG.warning("event=task_retry %s",
-                         kv(scenario=task.name, attempt=task.attempts,
-                            reason=reason, backoff=True))
-            pending.append(task)
-
-    while pending or inflight:
-        now = time.monotonic()
-        _SWEEP_INFLIGHT.set(len(inflight))
-        _SWEEP_PENDING.set(len(pending))
-
-        # Dispatch up to the window, rotating past backoff-gated heads so
-        # one cooling-down task doesn't starve the ready ones behind it.
-        considered = 0
-        while pending and len(inflight) < processes \
-                and considered < len(pending) + 1:
-            considered += 1
-            task = pending[0]
-            if task.not_before > now:
-                pending.rotate(-1)
-                continue
-            pending.popleft()
-            dispatch(task)
-            inflight.append(task)
-
-        if not inflight:
+    while dispatch.active:
+        done.extend(task.record for task in dispatch.step())
+        _SWEEP_INFLIGHT.set(len(dispatch.inflight))
+        _SWEEP_PENDING.set(len(dispatch.pending))
+        if dispatch.active:
             time.sleep(_POLL_S)
-            continue
-
-        generation_now = pool_generation()
-        progressed = False
-
-        # Collect: first ready dispatch of each task wins; crashed or
-        # stale-generation dispatches are dropped.
-        for task in list(inflight):
-            result: Optional[TaskResult] = None
-            crash: Optional[str] = None
-            for entry in list(task.handles):
-                gen, handle = entry
-                if gen != generation_now:
-                    task.handles.remove(entry)
-                    continue
-                if not handle.ready():
-                    continue
-                try:
-                    result = handle.get()
-                except Exception as exc:   # noqa: BLE001 — worker lost /
-                    # injected fault: an infrastructure failure, retryable.
-                    task.handles.remove(entry)
-                    crash = f"{type(exc).__name__}: {exc}"
-                    continue
-                break
-            if result is not None:
-                fold_task_result(result)
-                inflight.remove(task)
-                done.append(result.record)
-                progressed = True
-            elif not task.handles:
-                inflight.remove(task)
-                settle_failure(task, crash or "pool-respawn")
-                progressed = True
-
-        if progressed:
-            continue
-        now = time.monotonic()
-
-        # Hangs: a task past its deadline can only be stopped by killing
-        # its worker, and the pool only dies whole.  Innocent bystanders
-        # requeue without burning budget (their dispatch never misbehaved).
-        expired = [t for t in inflight if now > t.deadline]
-        if expired:
-            _TASK_DEADLINES.inc(len(expired))
-            for task in expired:
-                _LOG.warning("event=task_deadline %s",
-                             kv(scenario=task.name, attempt=task.attempts - 1,
-                                deadline_s=task_deadline_s))
-            respawn_pool("task-deadline")
-            deaths_seen = worker_deaths()
-            for task in list(inflight):
-                inflight.remove(task)
-                if task in expired:
-                    settle_failure(task, "deadline")
-                else:
-                    task.attempts = max(0, task.attempts - 1)
-                    task.handles.clear()
-                    _TASK_RETRIES.labels(reason="pool-respawn").inc()
-                    pending.append(task)
-            continue
-
-        # Deaths: some worker vanished; any in-flight task may be the one
-        # it took with it.  Give every task with budget a concurrent second
-        # dispatch (capacity self-heals via the pool's maintenance thread).
-        deaths_now = worker_deaths()
-        if deaths_now > deaths_seen:
-            deaths_seen = deaths_now
-            for task in inflight:
-                if task.attempts < retries + 1 and len(task.handles) < 2:
-                    dispatch(task, reason="worker-death")
-            continue
-
-        time.sleep(_POLL_S)
-
-    _SWEEP_INFLIGHT.set(0)
-    _SWEEP_PENDING.set(0)
     return done
 
 
 def _run_serial(todo: Sequence[str], period_s: float,
                 baselines: Sequence[str], retries: int) -> List[SweepRecord]:
-    """The in-process path, with the same retry/quarantine contract.
+    """The in-process path, booking failures as :class:`Dispatch` does.
 
     Only ``raise`` faults fire here (this process must not kill or hang
     itself), so the retry loop is a plain try/except around the task body,
     which records its telemetry straight into this process.
     """
-    rng = random.Random(0x5EED ^ len(todo))
+    rng = random.Random(_BACKOFF_SEED)
     done: List[SweepRecord] = []
     for name in todo:
-        task = _Task(scenario=get_scenario(name))
-        while True:
+        task = _Task(get_scenario(name))
+        while task.record is None:
             task.attempts += 1
             context = TaskContext.current(attempt=task.attempts - 1)
             try:
-                done.append(_run_task((task.scenario, period_s,
-                                       tuple(baselines), context)))
-                break
+                task.record = _run_task((task.scenario, period_s,
+                                         tuple(baselines), context))
             except FaultInjected as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                if task.attempts >= retries + 1:
-                    _TASKS_QUARANTINED.inc()
-                    _LOG.error("event=task_quarantined %s",
-                               kv(scenario=task.name, attempts=task.attempts,
-                                  reason=reason))
-                    done.append(_quarantine_record(task, reason))
-                    break
-                _TASK_RETRIES.labels(reason="crash").inc()
-                _LOG.warning("event=task_retry %s",
-                             kv(scenario=task.name, attempt=task.attempts,
-                                reason=reason))
-                time.sleep(_backoff_s(task.attempts, rng))
+                if _book_failure(task, "crash",
+                                 f"{type(exc).__name__}: {exc}", retries):
+                    time.sleep(_backoff_s(task.attempts, rng))
+        done.append(task.record)
     return done
 
 

@@ -17,15 +17,19 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 
 import pytest
 
+from repro import faults
 from repro.faults import FaultPlan, FaultSpec, clear_plan, install_plan
 from repro.netsim import StarSpec, generate_star
 from repro.obs.flightrec import FLIGHT
 from repro.obs.metrics import REGISTRY
+from repro.obs.profile import PROFILER
+from repro.obs.trace import TRACER
 from repro.scenarios import scenario_names
 from repro.scenarios.registry import register_scenario, unregister
 from repro.serve import JobQueue, ReproApp, ResultStore, start_server
@@ -37,6 +41,7 @@ from repro.sweep import (
     load_jsonl,
     respawn_pool,
     run_sweep,
+    runner,
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -49,6 +54,15 @@ SRC = os.path.join(REPO_ROOT, "src")
 
 def _counter(name, **labels):
     return REGISTRY.value(name, **labels) or 0.0
+
+
+#: Every reason a pool task is re-dispatched for.
+RETRY_REASONS = ("crash", "deadline", "pool-respawn", "worker-death")
+
+
+def _retries():
+    return sum(_counter("repro_sweep_task_retries_total", reason=reason)
+               for reason in RETRY_REASONS)
 
 
 def _arm(plan):
@@ -128,6 +142,12 @@ def _flag_builder(flag):
     return generate_star(StarSpec(hosts=4, kind="hub"))
 
 
+def _slow_builder(seconds):
+    """A healthy scenario that takes ``seconds`` to build."""
+    time.sleep(seconds)
+    return generate_star(StarSpec(hosts=4, kind="hub"))
+
+
 # ---------------------------------------------------------------------------
 # the sweep engine under injected faults
 
@@ -186,6 +206,71 @@ class TestSweepChaos:
         again = run_sweep(names=["ring-4"], jobs=1, cache_dir=str(tmp_path))
         assert again.records[0].ok
 
+    def test_last_attempt_death_quarantines_without_the_deadline(
+            self, tmp_path):
+        # Regression: a task whose worker died on its last attempt waited
+        # out task_deadline_s, then respawned the pool.
+        _arm(FaultPlan(specs=(
+            FaultSpec(kind="kill", match="ring-4", times=-1),)))
+        respawns_before = _counter("repro_sweep_pool_respawns_total")
+        started = time.monotonic()
+        result = run_sweep(names=["ring-4", "star-hub-8"], jobs=2,
+                           cache_dir=str(tmp_path), retries=0,
+                           task_deadline_s=15.0)
+        assert time.monotonic() - started < 7.5
+        by_name = {r.scenario: r for r in result.records}
+        assert by_name["star-hub-8"].ok
+        assert by_name["ring-4"].status == "failed"
+        assert "exited with code" in by_name["ring-4"].error
+        assert _counter("repro_sweep_pool_respawns_total") == respawns_before
+
+    def test_scenario_beside_a_dying_worker_finishes_ok(self, tmp_path):
+        # A death fails only the task its worker picked up: the healthy
+        # scenario in flight beside it runs on, even without retries.
+        register_scenario("test-chaos-slow", family="test-internal",
+                          seconds=2.0)(_slow_builder)
+        _arm(FaultPlan(specs=(
+            FaultSpec(kind="kill", match="ring-4", times=-1),)))
+        result = run_sweep(names=["test-chaos-slow", "ring-4"], jobs=2,
+                           cache_dir=str(tmp_path), retries=0,
+                           task_deadline_s=10.0)
+        by_name = {r.scenario: r for r in result.records}
+        assert by_name["test-chaos-slow"].ok, \
+            by_name["test-chaos-slow"].error
+        assert by_name["ring-4"].status == "failed"
+
+    def test_clean_recycle_is_not_a_death(self, tmp_path, monkeypatch):
+        # Regression: a maxtasksperchild recycle (exit code 0) counted as a
+        # worker death, and each death re-dispatched the tasks in flight.
+        # The sweep's pool recycles every worker after one task.
+        monkeypatch.setattr(runner._warm_pool, "__defaults__", (1,))
+        respawn_pool("recycle-after-every-task")
+        deaths_before = _counter("repro_sweep_worker_deaths_total")
+        retries_before = _retries()
+        result = run_sweep(names=["ring-4", "star-hub-8", "star-switch-12",
+                                  "wan-grid-3x2"],
+                           jobs=2, cache_dir=str(tmp_path))
+        assert all(r.ok for r in result.records)
+        assert _counter("repro_sweep_worker_deaths_total") == deaths_before
+        assert _retries() == retries_before
+
+    def test_retry_reasons_are_labels_not_exception_text(self, tmp_path):
+        # Regression: a parallel sweep labelled the retry with the injected
+        # exception's text; the text belongs in the log line and the
+        # quarantine record.
+        _arm(FaultPlan(specs=(
+            FaultSpec(kind="raise", match="star-hub-8", on_attempts=(0,)),)))
+        crashes_before = _counter("repro_sweep_task_retries_total",
+                                  reason="crash")
+        result = run_sweep(names=["ring-4", "star-hub-8"], jobs=2,
+                           cache_dir=str(tmp_path), retries=1)
+        assert all(r.ok for r in result.records)
+        assert _counter("repro_sweep_task_retries_total", reason="crash") \
+            == crashes_before + 1
+        series = REGISTRY.snapshot()["repro_sweep_task_retries_total"]
+        assert {doc["labels"]["reason"] for doc in series["series"]} <= \
+            set(RETRY_REASONS)
+
     def test_injected_raise_is_retried_in_serial_sweeps(self, tmp_path):
         install_plan(FaultPlan(specs=(
             FaultSpec(kind="raise", match="star-hub-8", on_attempts=(0,)),)))
@@ -241,9 +326,37 @@ class TestServeChaos:
 
         asyncio.run(scenario())
 
+    def test_job_beside_a_dying_worker_finishes_ok(self, tmp_path):
+        # Regression: any worker death failed every job in flight after a
+        # 0.25 s grace; now it fails only the job its worker picked up.
+        register_scenario("test-chaos-slow", family="test-internal",
+                          seconds=2.0)(_slow_builder)
+        _arm(FaultPlan(specs=(
+            FaultSpec(kind="kill", match="ring-4", times=-1),)))
+
+        async def scenario():
+            queue = JobQueue(cache_dir=str(tmp_path), pool_processes=2,
+                             timeout_s=60.0, retries=0)
+            queue.start()
+            try:
+                slow = queue.submit("test-chaos-slow")
+                doomed = queue.submit("ring-4")
+                deadline = time.monotonic() + 60.0
+                while not (slow.done and doomed.done):
+                    assert time.monotonic() < deadline
+                    await asyncio.sleep(0.05)
+                assert doomed.status == "error"
+                assert "worker lost" in doomed.error
+                assert slow.status == "ok", slow.error
+            finally:
+                await queue.close()
+
+        asyncio.run(scenario())
+
     def test_killed_worker_is_retried_and_healthz_stays_green(self, tmp_path):
         _arm(FaultPlan(specs=(
             FaultSpec(kind="kill", match="ring-4", on_attempts=(0,)),)))
+        retried_before = _retries()
 
         async def scenario(app, port):
             body = json.dumps({"scenario": "ring-4"}).encode()
@@ -258,15 +371,12 @@ class TestServeChaos:
             assert health["draining"] is False
             status, blob = await _http(port, "GET", "/metrics")
             assert status == 200
-            assert b"repro_job_retries_total" in blob
+            assert b"repro_sweep_task_retries_total" in blob
             assert b"repro_faults_injected_total" in blob
 
         _with_app(scenario, cache_dir=str(tmp_path), pool_processes=1,
                   job_retries=2)
-        retried = sum(_counter("repro_job_retries_total", reason=reason)
-                      for reason in ("worker-death", "worker-crash",
-                                     "pool-respawn"))
-        assert retried >= 1
+        assert _retries() >= retried_before + 1
 
     def test_breaker_trips_on_repeated_failures_and_recovers(self, tmp_path):
         flag = str(tmp_path / "failing.flag")
@@ -388,6 +498,51 @@ class TestServeChaos:
         assert _counter("repro_store_fallback_records_total") >= 1
         records = load_jsonl(default_store_path(str(tmp_path)))
         assert any(r.scenario == "star-hub-8" and r.ok for r in records)
+
+
+# ---------------------------------------------------------------------------
+# locks a pool task takes, across fork
+
+
+_FORK_LOCKS = {
+    "faults": lambda: faults._lock,
+    "registry": lambda: REGISTRY._lock,
+    "tracer": lambda: TRACER._lock,
+    "profiler": lambda: PROFILER._lock,
+}
+
+
+class TestForkSafeLocks:
+    """The pool's maintenance thread forks replacement workers at any
+    moment: a worker forked while another thread holds one of these locks
+    must not inherit it held."""
+
+    @pytest.mark.parametrize("owner", sorted(_FORK_LOCKS))
+    def test_child_forked_while_the_lock_is_held_can_take_it(self, owner):
+        lock_of = _FORK_LOCKS[owner]
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with lock_of():
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(10)
+            pid = os.fork()
+            if pid == 0:                 # the child: take the lock, or fail
+                try:
+                    os._exit(0 if lock_of().acquire(timeout=2) else 1)
+                finally:
+                    os._exit(1)
+            _, status = os.waitpid(pid, 0)
+        finally:
+            release.set()
+            holder.join(10)
+        assert not holder.is_alive()
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 # ---------------------------------------------------------------------------
