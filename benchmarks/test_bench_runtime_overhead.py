@@ -1,16 +1,17 @@
-"""RUNTIME — the process sampler's overhead gate on the fast-path benchmark.
+"""RUNTIME — the runtime hooks' overhead gate on the fast-path benchmark.
 
-PR 10's :class:`repro.obs.runtime.RuntimeSampler` runs for the whole life
-of a serve process, so its cost is a permanent tax on everything the
-process does.  Two properties are asserted on the same largest-WAN-grid
-scenario the FASTPATH benchmark gates:
+Serve installs :mod:`repro.obs.runtime`'s GC watch for the whole life of
+the process, so its cost is a permanent tax on everything the process
+does.  The process gauges themselves cost nothing between reads: they are
+callbacks evaluated by a scrape or a metrics-history snapshot, and no
+sampler thread runs.  Two properties are asserted on the same
+largest-WAN-grid scenario the FASTPATH benchmark gates:
 
-* running at its default **1 Hz** cadence the sampler taxes the pipeline
-  by less than **2%** — asserted on its actual cost components (the
-  synchronous GC-callback pairs each collection pays, the amortised
-  snapshot, and the between-snapshot CPU of the sampler thread), because
-  on shared CI machines an end-to-end A/B wall-clock delta is dominated
-  by multi-percent load drift that no bracketing fully cancels;
+* the GC watch taxes the pipeline by less than **2%** — asserted on its
+  actual cost (the synchronous callback pair each collection pays, times
+  the collections a pipeline round triggers), because on shared CI
+  machines an end-to-end A/B wall-clock delta is dominated by
+  multi-percent load drift that no bracketing fully cancels;
 * **disabled**, the flight recorder's ``maybe_dump`` trigger — called on
   every breaker transition and persist fallback — costs well under a
   microsecond, so instrumenting those paths is free until a
@@ -23,18 +24,15 @@ import gc
 import time
 
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.runtime import RuntimeSampler, _GCWatch
+from repro.obs.runtime import _GCWatch
 from repro.pipeline import run_pipeline
 from repro.scenarios import get_scenario
 
 from test_bench_fastpath import LARGEST_WAN_GRID
 
-MAX_SAMPLED_OVERHEAD_PCT = 2.0
+MAX_GC_WATCH_OVERHEAD_PCT = 2.0
 #: Near-free: a disabled maybe_dump() reduces to one attribute check.
 MAX_DISABLED_TRIGGER_NS = 2_000
-#: The sampler thread sleeps between 1 Hz snapshots; over a 0.4s idle
-#: window it must burn (well) under 10ms of process CPU.
-MAX_IDLE_THREAD_CPU_S = 0.010
 ROUNDS = 5
 
 
@@ -46,19 +44,15 @@ def _one_round(scenario) -> float:
     return time.perf_counter() - start
 
 
-def test_bench_runtime_sampler_overhead_at_default_cadence():
+def test_bench_gc_watch_overhead():
     scenario = get_scenario(LARGEST_WAN_GRID)
-    sampler = RuntimeSampler()
-    interval_s = 1.0
 
-    # Steady state — serve starts the sampler once for the life of the
-    # process — taxes a pipeline round in exactly three ways: the GC
-    # callbacks every collection runs synchronously, the 1 Hz snapshot
-    # amortised over the round, and whatever CPU the sampler thread
-    # burns between snapshots.  Each is measured directly and the sum
-    # gated; the components sit near 0.1% so even a several-fold noise
-    # spike stays inside the 2% budget, while a real regression (an
-    # expensive callback, a busy-looping thread) blows through it.
+    # The GC watch taxes a pipeline round in exactly one way: the
+    # callbacks every collection runs synchronously.  The pair cost and
+    # the collection count are measured directly and their product gated;
+    # it sits near 0.1% so even a several-fold noise spike stays inside
+    # the 2% budget, while a real regression (an expensive callback)
+    # blows through it.
 
     # Pipeline round: wall time and GC collections triggered.
     _one_round(scenario)                        # warm-up, untimed
@@ -85,43 +79,13 @@ def test_bench_runtime_sampler_overhead_at_default_cadence():
         pair_cost_s = min(pair_cost_s,
                           (time.perf_counter() - start) / pairs)
 
-    # One snapshot, as taken once per interval.
-    sample_cost_s = float("inf")
-    for _ in range(20):
-        start = time.perf_counter()
-        sampler.sample()
-        sample_cost_s = min(sample_cost_s, time.perf_counter() - start)
-
-    # Idle-thread guard: process CPU while the main thread sleeps is the
-    # sampler thread's alone, and CPU time is immune to wall-clock load
-    # noise.  start()'s immediate snapshot lands before the window and
-    # the thread's first timer snapshot a full interval after it.
-    sampler.start(interval_s=interval_s)
-    try:
-        assert sampler.running, "sampler failed to start"
-        cpu_start = time.process_time()
-        time.sleep(0.4)
-        idle_cpu_s = time.process_time() - cpu_start
-    finally:
-        sampler.stop()
-
-    overhead_pct = 100.0 * (collections * pair_cost_s / round_s
-                            + sample_cost_s / interval_s)
+    overhead_pct = 100.0 * collections * pair_cost_s / round_s
     print(f"\n[RUNTIME] {scenario.name}: round {round_s:.3f}s, "
           f"{collections} GC collections x {pair_cost_s * 1e9:.0f} ns "
-          f"callback pair, snapshot {sample_cost_s * 1e6:.0f} us @ "
-          f"{1 / interval_s:.0f} Hz, idle-thread CPU "
-          f"{idle_cpu_s * 1e3:.1f} ms/0.4s -> {overhead_pct:+.3f}% "
-          f"({sampler.samples_taken} samples, "
-          f"{sampler.sample_errors} errors)")
-    assert sampler.sample_errors == 0
-    assert idle_cpu_s < MAX_IDLE_THREAD_CPU_S, (
-        f"sampler thread burned {idle_cpu_s * 1e3:.1f} ms of CPU over an "
-        f"idle 0.4s window (budget: {MAX_IDLE_THREAD_CPU_S * 1e3:.0f} ms) "
-        f"— is it busy-looping between snapshots?")
-    assert overhead_pct < MAX_SAMPLED_OVERHEAD_PCT, (
-        f"runtime sampling at 1 Hz costs {overhead_pct:.3f}% on "
-        f"{scenario.name} (budget: {MAX_SAMPLED_OVERHEAD_PCT}%)")
+          f"callback pair -> {overhead_pct:+.3f}%")
+    assert overhead_pct < MAX_GC_WATCH_OVERHEAD_PCT, (
+        f"the GC watch costs {overhead_pct:.3f}% on {scenario.name} "
+        f"(budget: {MAX_GC_WATCH_OVERHEAD_PCT}%)")
 
 
 def test_bench_disabled_flight_trigger_is_near_free():

@@ -31,12 +31,9 @@ the NWS configuration, check its quality):
                   or export them as a Chrome-trace document for Perfetto
                   (``--format chrome``);
 * ``obs``       — trace analytics over a span log: ``report`` (per-op
-                  p50/p95/p99 + self time, critical paths, SLO verdicts),
-                  ``diff`` (attribute the latency delta between two logs
-                  to specific ops) and ``dump`` (trigger a
-                  flight-recorder forensics bundle);
-* ``top``       — live ANSI dashboard over a running ``serve`` process,
-                  polling ``/metrics/history`` and ``/healthz``.
+                  p50/p95/p99 + self time, critical paths, SLO verdicts)
+                  and ``diff`` (attribute the latency delta between two
+                  logs to specific ops).
 
 Every subcommand takes the observability flags ``--log-level`` (structured
 key=value logging), ``--trace-sample`` (span sampling rate; ``serve``
@@ -405,11 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="metrics-history snapshot interval backing "
                               "GET /metrics/history (default: 5)")
-    p_serve.add_argument("--runtime-interval", type=float, default=1.0,
-                         metavar="SECONDS",
-                         help="process runtime sampler interval (RSS, CPU, "
-                              "fds, GC, loop lag); 0 disables "
-                              "(default: 1)")
     _add_fault_argument(p_serve)
     # The server defaults to tracing every request: its spans are the point
     # of GET /trace/{id}, and the overhead benchmark bounds the cost.
@@ -492,35 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     o_diff.add_argument("--top", type=int, default=15, metavar="N",
                         help="delta rows to print (default: 15)")
     _add_observability_arguments(o_diff)
-    o_dump = obs_sub.add_parser(
-        "dump", help="trigger a flight-recorder forensics bundle: POST "
-                     "/debug/dump on a running server, or dump this "
-                     "process locally")
-    o_dump.add_argument("--url", default=None, metavar="URL",
-                        help="base URL of a running repro serve started "
-                             "with --flight-dir (e.g. "
-                             "http://127.0.0.1:8765)")
-    o_dump.add_argument("--flight-dir", default=None, metavar="DIR",
-                        help="dump a bundle of *this* CLI process into DIR "
-                             "(no server involved)")
-    _add_observability_arguments(o_dump)
-
-    p_top = sub.add_parser(
-        "top", help="live ANSI dashboard over a running serve process "
-                    "(req/s, route latencies, pool, RSS, breakers)")
-    p_top.add_argument("--url", required=True, metavar="URL",
-                       help="base URL of a running repro serve "
-                            "(e.g. http://127.0.0.1:8765)")
-    p_top.add_argument("--interval", type=float, default=2.0,
-                       metavar="SECONDS",
-                       help="refresh interval (default: 2)")
-    p_top.add_argument("--iterations", type=int, default=0, metavar="N",
-                       help="frames to render before exiting; 0 runs until "
-                            "interrupted (default: 0)")
-    p_top.add_argument("--window", type=int, default=120, metavar="SECONDS",
-                       help="metrics-history window each frame derives "
-                            "rates/percentiles from (default: 120)")
-    _add_observability_arguments(p_top)
 
     p_check = sub.add_parser(
         "check", help="static AST checks: determinism, version-bump, "
@@ -988,12 +951,7 @@ def _parse_slo_spec(spec: str):
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    """Trace analytics over span logs: ``report``, ``diff``, ``dump``."""
-    if args.obs_command == "dump":
-        # The dump namespace has no --top; handle it before the shared
-        # validation below.
-        return _cmd_obs_dump(args)
-
+    """Trace analytics over span logs: ``report`` and ``diff``."""
     from .obs.analyze import aggregate_ops, critical_path, diff_traces
     from .obs.slo import DEFAULT_SLOS, evaluate_spans
 
@@ -1091,75 +1049,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fetch_json(url: str, timeout_s: float = 10.0,
-                method: str = "GET") -> Dict[str, object]:
-    """GET/POST ``url`` and decode the JSON body (urllib errors are OSError,
-    so ``main`` maps failures to exit 2 with a readable message)."""
-    import urllib.request
-
-    request = urllib.request.Request(url, method=method)
-    with urllib.request.urlopen(request, timeout=timeout_s) as response:
-        payload = json.loads(response.read().decode("utf-8"))
-    if not isinstance(payload, dict):
-        raise ValueError(f"unexpected non-object JSON from {url}")
-    return payload
-
-
-def _cmd_obs_dump(args: argparse.Namespace) -> int:
-    """Trigger a flight-recorder bundle, remotely or in-process."""
-    if bool(args.url) == bool(args.flight_dir):
-        raise ValueError("obs dump needs exactly one of --url (dump a "
-                         "running server) or --flight-dir (dump this "
-                         "process)")
-    if args.url:
-        base = args.url.rstrip("/")
-        payload = _fetch_json(f"{base}/debug/dump", method="POST")
-        print(f"flight bundle written by {base}: {payload.get('path')}")
-        return 0
-    from .obs.flightrec import FLIGHT
-
-    FLIGHT.configure(flight_dir=args.flight_dir)
-    path = FLIGHT.dump("manual")
-    if path is None:
-        print(f"error: flight dump into {args.flight_dir} failed "
-              f"(see log)", file=sys.stderr)
-        return 1
-    print(f"flight bundle written: {path}")
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Live dashboard: poll /metrics/history + /healthz and render."""
-    import time
-
-    from .obs.export import render_dashboard
-
-    if args.interval <= 0:
-        raise ValueError("--interval must be positive")
-    if args.iterations < 0:
-        raise ValueError("--iterations must be >= 0")
-    if args.window < 1:
-        raise ValueError("--window must be >= 1")
-    base = args.url.rstrip("/")
-    frame = 0
-    while True:
-        history = _fetch_json(f"{base}/metrics/history?window={args.window}")
-        healthz = _fetch_json(f"{base}/healthz")
-        screen = render_dashboard(history, healthz, url=base)
-        if args.iterations != 1:
-            # Interactive mode: clear and home before each frame so the
-            # dashboard repaints in place instead of scrolling.
-            print("\x1b[2J\x1b[H", end="")
-        print(screen, flush=True)
-        frame += 1
-        if args.iterations and frame >= args.iterations:
-            return 0
-        try:
-            time.sleep(args.interval)
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
@@ -1177,8 +1066,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ValueError("--drain-timeout must be >= 0")
     if args.history_interval <= 0:
         raise ValueError("--history-interval must be positive")
-    if args.runtime_interval < 0:
-        raise ValueError("--runtime-interval must be >= 0")
     _install_faults(args)
     app = ReproApp(cache_dir=args.cache_dir, store_path=args.out,
                    pool_processes=args.jobs, job_timeout_s=args.job_timeout,
@@ -1186,8 +1073,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    breaker_threshold=args.breaker_threshold,
                    breaker_cooldown_s=args.breaker_cooldown,
                    flight_dir=args.flight_dir,
-                   history_interval_s=args.history_interval,
-                   runtime_interval_s=args.runtime_interval)
+                   history_interval_s=args.history_interval)
 
     def announce(port: int) -> None:
         # Machine-parseable: the smoke harness starts `--port 0` and reads
@@ -1264,7 +1150,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _cmd_serve,
         "trace": _cmd_trace,
         "obs": _cmd_obs,
-        "top": _cmd_top,
         "check": _cmd_check,
     }
     _load_recorded_imports(args.command)

@@ -46,7 +46,6 @@ respawns they caused.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import os
@@ -363,13 +362,6 @@ def write_fault(path: str) -> Optional[str]:
         if _should_fire(plan, index, spec, path, sequence):
             return spec.kind
     return None
-
-
-def injected_oserror(path: str, torn: bool = False) -> OSError:
-    """The ``OSError`` an injected write fault raises (always ENOSPC — the
-    realistic full-disk errno for both variants)."""
-    detail = "injected torn write" if torn else "injected ENOSPC"
-    return OSError(errno.ENOSPC, detail, path)
 
 
 # Register the write hook: ioutils stays import-cycle-free (it must not

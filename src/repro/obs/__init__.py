@@ -22,17 +22,18 @@ On top of the raw telemetry, the analysis layer:
 
 And the runtime-telemetry layer (PR 10):
 
-* :data:`RUNTIME` (:mod:`repro.obs.runtime`) — a daemon-thread process
-  sampler (RSS/CPU/fds/GC pauses/event-loop lag) with a worker-side
-  :func:`task_runtime` capture shipped home in each pool task's result.
+* :data:`RUNTIME` (:mod:`repro.obs.runtime`) — process gauges read on
+  demand (RSS/CPU/fds/peak RSS), a GC-pause watch and an event-loop lag
+  monitor, with a worker-side :func:`task_runtime` capture shipped home
+  in each pool task's result.  It runs no thread.
 * :class:`MetricsHistory` (:mod:`repro.obs.history`) — a bounded ring of
   registry snapshots with windowed rate/quantile derivation
-  (``GET /metrics/history``).
+  (``GET /metrics/history``); its thread is the only periodic telemetry
+  work in a serve process.
 * :data:`FLIGHT` (:mod:`repro.obs.flightrec`) — the flight recorder:
   forensics bundles on SLO breach, breaker open, persist fallback,
   SIGTERM or demand.
-* :mod:`repro.obs.export` — Chrome-trace/Perfetto span export and the
-  ``repro top`` dashboard renderer.
+* :mod:`repro.obs.export` — Chrome-trace/Perfetto span export.
 
 See README.md, "Observability".
 """
@@ -40,8 +41,7 @@ See README.md, "Observability".
 from __future__ import annotations
 
 from .analyze import aggregate_ops, critical_path, diff_traces, percentile
-from .export import chrome_trace, chrome_trace_json, render_dashboard, \
-    sparkline
+from .export import chrome_trace, chrome_trace_json
 from .flightrec import FLIGHT, FlightRecorder
 from .history import MetricsHistory, percentile_from_buckets
 from .logs import get_logger, kv, setup_logging, to_json_line
@@ -64,7 +64,7 @@ __all__ = [
     "RUNTIME", "RuntimeSampler", "task_runtime",
     "MetricsHistory", "percentile_from_buckets",
     "FLIGHT", "FlightRecorder",
-    "chrome_trace", "chrome_trace_json", "render_dashboard", "sparkline",
+    "chrome_trace", "chrome_trace_json",
     "aggregate_ops", "critical_path", "diff_traces", "percentile",
     "SLO", "SLOEngine", "DEFAULT_SLOS", "evaluate_spans",
     "setup_logging", "get_logger", "kv", "to_json_line",

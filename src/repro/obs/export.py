@@ -1,32 +1,19 @@
-"""Span export (Chrome trace event / Perfetto) and the `repro top` view.
+"""Span export to the Chrome trace event format (Perfetto).
 
-Two pure rendering surfaces, deliberately free of I/O so both are
-golden-file testable:
-
-* :func:`chrome_trace` converts span dicts (the tracer ring or a JSONL
-  span log) into the Chrome trace event format — load the JSON at
-  ``ui.perfetto.dev`` or ``chrome://tracing`` and every sweep worker
-  becomes its own process track (``pid`` from the worker-stamped span
-  attr, one ``tid`` lane per trace within a pid).
-* :func:`render_dashboard` turns a ``/metrics/history`` window document
-  plus a ``/healthz`` snapshot into the ANSI dashboard ``repro top``
-  repaints: req/s, per-route p95, pool saturation, RSS, loop lag and
-  breaker states, with unicode sparklines for the trended series.
+:func:`chrome_trace` converts span dicts (the tracer ring or a JSONL span
+log) into the Chrome trace event format — load the JSON at
+``ui.perfetto.dev`` or ``chrome://tracing`` and every sweep worker becomes
+its own process track (``pid`` from the worker-stamped span attr, one
+``tid`` lane per trace within a pid).  A pure function, free of I/O, so
+it is golden-file testable; ``repro trace --format chrome`` writes it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["chrome_trace", "chrome_trace_json", "sparkline",
-           "render_dashboard"]
-
-_SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-
-# ---------------------------------------------------------------------------
-# Chrome trace event export
+__all__ = ["chrome_trace", "chrome_trace_json"]
 
 
 def _span_pid(span: Dict[str, object]) -> int:
@@ -89,161 +76,3 @@ def chrome_trace(spans: Sequence[Dict[str, object]]) -> Dict[str, object]:
 def chrome_trace_json(spans: Sequence[Dict[str, object]]) -> str:
     return json.dumps(chrome_trace(spans), indent=None,
                       separators=(",", ":")) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# dashboard rendering
-
-
-def sparkline(values: Sequence[Optional[float]], width: int = 24) -> str:
-    """Render a numeric series as a unicode sparkline (gaps as spaces)."""
-    tail = list(values)[-width:]
-    present = [v for v in tail if v is not None]
-    if not present:
-        return ""
-    low, high = min(present), max(present)
-    spread = high - low
-    chars = []
-    for value in tail:
-        if value is None:
-            chars.append(" ")
-        elif spread <= 0:
-            chars.append(_SPARK_BLOCKS[0])
-        else:
-            index = int((value - low) / spread * (len(_SPARK_BLOCKS) - 1))
-            chars.append(_SPARK_BLOCKS[index])
-    return "".join(chars)
-
-
-def _fmt_bytes(value: Optional[float]) -> str:
-    if value is None:
-        return "–"
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024.0 or unit == "GiB":
-            return f"{value:.1f}{unit}" if unit != "B" \
-                else f"{int(value)}{unit}"
-        value /= 1024.0
-    return "?"
-
-
-def _fmt(value: Optional[float], spec: str = ".2f",
-         suffix: str = "") -> str:
-    if value is None:
-        return "–"
-    return f"{value:{spec}}{suffix}"
-
-
-def _series(doc: Dict[str, object], key: str) -> Dict[str, object]:
-    return (doc.get("series") or {}).get(key) or {}
-
-
-def _series_matching(doc: Dict[str, object],
-                     name: str) -> Dict[str, Dict[str, object]]:
-    prefix = name + "{"
-    return {key: value for key, value in (doc.get("series") or {}).items()
-            if key == name or key.startswith(prefix)}
-
-
-def _gauge_points(series: Dict[str, object]) -> List[Optional[float]]:
-    return [p[1] for p in series.get("points") or []]
-
-
-def _rate_points(series: Dict[str, object]) -> List[Optional[float]]:
-    """Per-snapshot rates derived from a counter's cumulative points."""
-    points = series.get("points") or []
-    rates: List[Optional[float]] = []
-    previous: Optional[Tuple[float, float]] = None
-    for ts, value in points:
-        if value is None:
-            rates.append(None)
-            continue
-        if previous is not None and ts > previous[0]:
-            rates.append(max(0.0, value - previous[1])
-                         / (ts - previous[0]))
-        previous = (ts, value)
-    return rates
-
-
-def render_dashboard(history: Dict[str, object],
-                     healthz: Dict[str, object],
-                     url: str = "", width: int = 78) -> str:
-    """One full dashboard frame (plain text; `repro top` adds the ANSI
-    clear).  Pure function of the two documents — golden-file friendly.
-    """
-    lines: List[str] = []
-    title = "repro top"
-    if url:
-        title += f" — {url}"
-    status = healthz.get("status", "?")
-    uptime = healthz.get("uptime_s")
-    lines.append(f"{title:<{width - 20}}{'status: ' + str(status):>20}")
-    lines.append("─" * width)
-
-    # Requests: total rate across status classes + per-class split.
-    resp = _series_matching(history, "repro_http_responses_total")
-    total_rate = 0.0
-    any_rate = False
-    per_class = []
-    combined: List[Optional[float]] = []
-    for key, series in sorted(resp.items()):
-        rate = series.get("rate_per_s")
-        label = key.partition("code=")[2].rstrip("}") or key
-        per_class.append(f"{label}:{_fmt(rate, '.2f', '/s')}")
-        if rate is not None:
-            total_rate += rate
-            any_rate = True
-        rates = _rate_points(series)
-        if len(rates) > len(combined):
-            combined += [None] * (len(rates) - len(combined))
-        for i, r in enumerate(rates):
-            if r is not None:
-                combined[i] = (combined[i] or 0.0) + r
-    lines.append(
-        f"req/s    {_fmt(total_rate if any_rate else None, '.2f'):>8}  "
-        f"{sparkline(combined)}  {' '.join(per_class)}")
-
-    # Per-route p95 (slowest first, top 4 routes by window count).
-    routes = _series_matching(history, "repro_http_request_seconds")
-    ranked = sorted(routes.items(),
-                    key=lambda item: -(item[1].get("count_delta") or 0))
-    for key, series in ranked[:4]:
-        route = key.partition("route=")[2].rstrip("}") or key
-        lines.append(
-            f"  {route:<28} p95 {_fmt(series.get('p95'), '.3f', 's'):>9}"
-            f"  p50 {_fmt(series.get('p50'), '.3f', 's'):>9}"
-            f"  n={series.get('count_delta') or 0}")
-
-    # Pool saturation.
-    busy = _series(history, "repro_pool_busy_workers")
-    queue = _series(history, "repro_pool_queue_depth")
-    pending = _series(history, "repro_jobs_pending")
-    lines.append(
-        f"pool     busy {_fmt(busy.get('last'), '.0f'):>4}  "
-        f"queue {_fmt(queue.get('last'), '.0f'):>4}  "
-        f"pending {_fmt(pending.get('last'), '.0f'):>4}  "
-        f"{sparkline(_gauge_points(busy))}")
-
-    # Process: RSS trend + loop lag.
-    rss = _series(history, "process_resident_memory_bytes")
-    lag = _series(history, "repro_loop_lag_seconds")
-    lines.append(
-        f"rss      {_fmt_bytes(rss.get('last')):>10}  "
-        f"{sparkline(_gauge_points(rss))}  "
-        f"loop lag {_fmt(lag.get('max'), '.4f', 's')}")
-
-    # Breakers (from /healthz — states are not a history series).
-    breakers = healthz.get("breakers") or {}
-    if breakers:
-        rendered = "  ".join(
-            f"{name}:{info.get('state', '?')}"
-            for name, info in sorted(breakers.items()))
-        lines.append(f"breakers {rendered}")
-    else:
-        lines.append("breakers (none tripped)")
-
-    lines.append("─" * width)
-    lines.append(
-        f"window {history.get('window_s', '?')}s · "
-        f"{history.get('snapshots', 0)} snapshots · "
-        f"uptime {_fmt(uptime, '.0f', 's')}")
-    return "\n".join(lines) + "\n"

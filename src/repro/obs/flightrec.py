@@ -15,14 +15,16 @@ Triggers (all funnel into :meth:`FlightRecorder.maybe_dump`):
 * ``persist-fallback`` — a store write failed and the record was parked
   in memory (``serve/app.py``);
 * ``sigterm`` — the drain path dumps synchronously before teardown;
-* ``manual`` — ``repro obs dump`` / ``POST /debug/dump``.
+* ``manual`` — ``POST /debug/dump``.
 
 Bundles are single JSON files written through
 :func:`repro.ioutils.write_atomic` (RC003 — a crash mid-dump never
 leaves a torn bundle), pruned to ``max_bundles`` oldest-first, and
 rate-limited per reason by ``cooldown_s`` so a flapping breaker cannot
 fill the disk.  ``maybe_dump`` hands the write to a daemon thread — it
-is safe to call from event-loop call stacks (RC004).
+is safe to call from event-loop call stacks (RC004) — and the recorder
+keeps that thread, so a serve process's ``close()`` can
+:meth:`~FlightRecorder.join` the bundles it scheduled.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 import os
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..ioutils import write_atomic
 from .logs import get_logger, kv
@@ -44,8 +46,9 @@ _LOG = get_logger("obs.flightrec")
 
 __all__ = ["FlightRecorder", "FLIGHT"]
 
-#: Bundle format version (bumped when the layout changes).
-BUNDLE_SCHEMA = 1
+#: Bundle format version (bumped when the layout changes).  2: ``runtime``
+#: is the process read at dump time (:meth:`RuntimeSampler.state`).
+BUNDLE_SCHEMA = 2
 #: Spans per bundle — the tail of the tracer ring, newest last.
 MAX_SPANS = 512
 DEFAULT_MAX_BUNDLES = 16
@@ -83,6 +86,8 @@ class FlightRecorder:
         self.health_fn: Optional[Callable[[], Dict[str, object]]] = None
         self._seq = 0
         self._last_dump: Dict[str, float] = {}
+        #: Dump threads ``maybe_dump`` started (pruned as they finish).
+        self._threads: List[threading.Thread] = []
 
     def configure(self, flight_dir=_UNSET, max_bundles=_UNSET,
                   cooldown_s=_UNSET, window_s=_UNSET, history=_UNSET,
@@ -194,10 +199,25 @@ class FlightRecorder:
             if last is not None and now - last < self.cooldown_s:
                 return False
             self._last_dump[reason] = now
-        threading.Thread(target=self.dump, args=(reason,),
-                         name=f"repro-flight-{reason}",
-                         daemon=True).start()
+            # Started under the lock, so ``join`` never meets an unstarted
+            # thread (the dump itself takes the lock only after start()).
+            thread = threading.Thread(target=self.dump, args=(reason,),
+                                      name=f"repro-flight-{reason}",
+                                      daemon=True)
+            thread.start()
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
         return True
+
+    def join(self, timeout_s: float) -> bool:
+        """Wait up to ``timeout_s`` in all for the dumps ``maybe_dump``
+        scheduled; returns whether every one has finished."""
+        deadline = time.monotonic() + timeout_s
+        with self._lock:
+            threads = list(self._threads)
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        return not any(thread.is_alive() for thread in threads)
 
     def reset_cooldowns(self) -> None:
         """Forget per-reason cooldowns — test hook."""
@@ -205,6 +225,6 @@ class FlightRecorder:
             self._last_dump.clear()
 
 
-#: The process-wide recorder; disabled until serve (``--flight-dir``) or
-#: the CLI (``repro obs dump --flight-dir``) configures a directory.
+#: The process-wide recorder; disabled until serve (``--flight-dir``)
+#: configures a directory.
 FLIGHT = FlightRecorder()

@@ -5,10 +5,13 @@ answers "what happened over the last N seconds" without an external
 time-series database.  A daemon thread snapshots the shared
 :class:`~repro.obs.metrics.MetricsRegistry` every ``interval_s`` into a
 ``deque(maxlen=capacity)`` — memory is bounded by the ring size no
-matter how long the process runs or how big the store grows.
+matter how long the process runs or how big the store grows.  Under
+serve it is the only periodic telemetry thread: each snapshot evaluates
+the runtime callback gauges (RSS, CPU, fds, GC, loop lag) of
+:mod:`repro.obs.runtime`, which keeps no thread of its own.
 
-:meth:`MetricsHistory.window` derives what a dashboard actually wants
-from the raw snapshots:
+:meth:`MetricsHistory.window` derives rates and quantiles from the raw
+snapshots:
 
 * **counters** → per-window delta and ``rate_per_s`` (monotonic-clock
   denominator, so wall-clock jumps cannot fake a rate);
@@ -19,8 +22,9 @@ from the raw snapshots:
 
 Series keys are ``name`` or ``name{label=value,...}`` with labels sorted
 by name, so the same series always folds into the same key.  The serve
-layer exposes this as ``GET /metrics/history?window=&names=`` and
-``repro top`` renders it as a live dashboard (``obs/export.py``).
+layer exposes this as ``GET /metrics/history?window=&names=``, the SLO
+engine grades burn rates over it, and every flight-recorder bundle
+embeds a window of it.
 """
 
 from __future__ import annotations

@@ -221,10 +221,6 @@ class MetricsRegistry:
             raise ValueError("a histogram needs at least one bucket")
         return self._register(name, "histogram", help, labels, bounds, None)
 
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._metrics.pop(name, None)
-
     def zero(self) -> None:
         """Zero every series in place, keeping registrations and callbacks.
 

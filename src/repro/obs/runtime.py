@@ -1,15 +1,19 @@
 """Process runtime telemetry: RSS, CPU, fds, GC pauses, event-loop lag.
 
 The spans/metrics/profiles of PRs 6-7 watch *requests*; nothing watched
-the *process*.  :class:`RuntimeSampler` closes that gap with a daemon
-thread (never the serve event loop — RC004) sampling at a configurable
-interval:
+the *process*.  :class:`RuntimeSampler` closes that gap without a thread
+of its own: every reading is a callback gauge the registry evaluates on
+demand, so a ``/metrics`` scrape or a metrics-history snapshot (serve's
+one periodic telemetry thread, :mod:`repro.obs.history`) reads the
+process at that instant.
 
 * **RSS / CPU / open fds** — read from ``/proc/self`` where available,
-  falling back to :func:`resource.getrusage` (peak RSS only) elsewhere.
-  Exported under the standard Prometheus process-metric names
+  falling back to :func:`resource.getrusage` elsewhere.  Exported under
+  the standard Prometheus process-metric names
   (``process_resident_memory_bytes``, ``process_cpu_seconds_total``,
-  ``process_open_fds``) so off-the-shelf dashboards work unchanged.
+  ``process_open_fds``) so off-the-shelf dashboards work unchanged.  Peak
+  RSS is the kernel's own high-water mark (``ru_maxrss``), which keeps a
+  spike that falls between two samples.
 * **GC collections + pause wall time per generation** — a
   :data:`gc.callbacks` hook times every collection, surfacing the pauses
   that show up as mystery latency spikes in request histograms.
@@ -18,11 +22,11 @@ interval:
   armed only under serve, where a starved loop means every request is
   queueing behind something.
 
-Pool workers run the same machinery in miniature: :func:`task_runtime`
-reads one task's CPU / GC deltas and the worker's peak RSS (``ru_maxrss``:
-no sampling thread) at task end, the payload rides home in the
-:class:`~repro.sweep.runner.TaskResult`, and :meth:`RuntimeSampler.ingest`
-folds it into ``repro_worker_*`` series on the parent.
+Pool workers run the same readings in miniature: :func:`task_runtime`
+reads one task's CPU / GC deltas and the worker's peak RSS at task end,
+the payload rides home in the :class:`~repro.sweep.runner.TaskResult`,
+and :meth:`RuntimeSampler.ingest` folds it into ``repro_worker_*`` series
+on the parent.
 """
 
 from __future__ import annotations
@@ -42,9 +46,6 @@ _LOG = get_logger("obs.runtime")
 __all__ = ["RuntimeSampler", "RUNTIME", "task_runtime", "rss_bytes",
            "peak_rss_bytes", "cpu_seconds", "open_fds"]
 
-#: Default sampler cadence; 1 Hz keeps overhead under the <2% benchmark
-#: gate while still catching second-scale RSS ramps.
-DEFAULT_INTERVAL_S = 1.0
 _GC_GENERATIONS = (0, 1, 2)
 
 
@@ -149,33 +150,20 @@ class _GCWatch:
 
 
 # ---------------------------------------------------------------------------
-# the process sampler
+# the process hooks
 
 
 class RuntimeSampler:
-    """Samples process runtime stats on a daemon thread (see module doc).
+    """The process gauges, the GC watch and the loop monitor (see module
+    doc).  Holds no thread: serve installs the GC watch and arms the loop
+    monitor at start, and removes both at close."""
 
-    Mirrors the :class:`repro.obs.profile.Profiler` thread idiom: a
-    generation counter bumps on every start/stop so a stale sampler
-    thread that wakes after a restart exits instead of double-sampling.
-    """
-
-    def __init__(self, interval_s: float = DEFAULT_INTERVAL_S,
-                 registry: MetricsRegistry = REGISTRY) -> None:
-        self._lock = threading.Lock()
+    def __init__(self, registry: MetricsRegistry = REGISTRY) -> None:
         self._registry = registry
-        self._generation = 0
-        self._stop_event: Optional[threading.Event] = None
-        self._thread: Optional[threading.Thread] = None
         self._loop_handle = None
         self._loop_generation = 0
-        self.interval_s = float(interval_s)
         self.gc_watch = _GCWatch()
-        self.peak_rss = 0.0
         self.loop_lag_s = 0.0
-        self.samples_taken = 0
-        self.sample_errors = 0
-        self.last: Dict[str, float] = {}
         self._register_metrics()
 
     # -- metric surface ------------------------------------------------------
@@ -195,8 +183,8 @@ class RuntimeSampler:
                   "Live Python threads in this process.",
                   fn=lambda: float(threading.active_count()))
         reg.gauge("repro_runtime_peak_rss_bytes",
-                  "Peak RSS observed by the runtime sampler.",
-                  fn=lambda: self.peak_rss)
+                  "Peak RSS of this process (ru_maxrss).",
+                  fn=peak_rss_bytes)
         reg.gauge("repro_loop_lag_seconds",
                   "Scheduled-callback drift of the asyncio event loop "
                   "(0 when no loop monitor is armed).",
@@ -215,79 +203,6 @@ class RuntimeSampler:
                 lambda g=generation: float(watch.collections[g]))
             pauses.labels(generation=str(generation)).set_callback(
                 lambda g=generation: watch.pause_s[g])
-
-    # -- sampling ------------------------------------------------------------
-
-    def sample(self) -> Dict[str, float]:
-        """Take one snapshot, updating ``last`` and the peak-RSS gauge."""
-        try:
-            rss = rss_bytes()
-            snapshot = {
-                "ts": time.time(),
-                "rss_bytes": rss,
-                "cpu_s": cpu_seconds(),
-                "open_fds": open_fds(),
-                "threads": float(threading.active_count()),
-                "gc_collections": float(sum(self.gc_watch.collections)),
-                "gc_pause_s": float(sum(self.gc_watch.pause_s)),
-                "loop_lag_s": self.loop_lag_s,
-            }
-        except Exception:   # noqa: BLE001 — a torn /proc read must not
-            # kill the sampler thread; count it and carry on.
-            self.sample_errors += 1
-            return dict(self.last)
-        with self._lock:
-            if rss > self.peak_rss:
-                self.peak_rss = rss
-            self.last = snapshot
-            self.samples_taken += 1
-        return snapshot
-
-    def _loop(self, generation: int, interval: float,
-              stop: threading.Event) -> None:
-        while not stop.wait(interval):
-            with self._lock:
-                if generation != self._generation:
-                    return
-            self.sample()
-
-    def start(self, interval_s: Optional[float] = None) -> None:
-        """Start (or restart) the sampler thread; idempotent."""
-        with self._lock:
-            if interval_s is not None:
-                self.interval_s = float(interval_s)
-            if self._thread is not None and self._thread.is_alive():
-                return
-            self._generation += 1
-            stop = threading.Event()
-            thread = threading.Thread(
-                target=self._loop,
-                args=(self._generation, self.interval_s, stop),
-                name="repro-runtime-sampler", daemon=True)
-            self._stop_event = stop
-            self._thread = thread
-        self.gc_watch.install()
-        self._register_metrics()   # re-bind callbacks after a reset()
-        self.sample()              # an immediate first data point
-        thread.start()
-
-    def stop(self) -> None:
-        thread = None
-        with self._lock:
-            self._generation += 1
-            if self._stop_event is not None:
-                self._stop_event.set()
-                thread = self._thread
-            self._stop_event = None
-            self._thread = None
-        self.gc_watch.remove()
-        if thread is not None:
-            thread.join(timeout=1.0)
-
-    @property
-    def running(self) -> bool:
-        thread = self._thread
-        return thread is not None and thread.is_alive()
 
     # -- event-loop lag ------------------------------------------------------
 
@@ -314,10 +229,7 @@ class RuntimeSampler:
         handle = self._loop_handle
         self._loop_handle = None
         if handle is not None:
-            try:
-                handle.cancel()
-            except Exception:   # noqa: BLE001 — loop already closed
-                self.sample_errors += 1
+            handle.cancel()            # a no-op once the loop has closed
         self.loop_lag_s = 0.0
 
     # -- worker ingest -------------------------------------------------------
@@ -353,18 +265,19 @@ class RuntimeSampler:
         return True
 
     def state(self) -> Dict[str, object]:
-        """A JSON-safe view of the sampler (flight-bundle material)."""
-        with self._lock:
-            return {
-                "running": self._thread is not None
-                and self._thread.is_alive(),
-                "interval_s": self.interval_s,
-                "samples_taken": self.samples_taken,
-                "sample_errors": self.sample_errors,
-                "peak_rss_bytes": self.peak_rss,
-                "loop_lag_s": self.loop_lag_s,
-                "last": dict(self.last),
-            }
+        """The process read now, JSON-safe (flight-bundle material)."""
+        watch = self.gc_watch
+        return {
+            "rss_bytes": rss_bytes(),
+            "peak_rss_bytes": peak_rss_bytes(),
+            "cpu_s": cpu_seconds(),
+            "open_fds": open_fds(),
+            "threads": threading.active_count(),
+            "gc_watch_installed": watch._installed,
+            "gc_collections": list(watch.collections),
+            "gc_pause_s": list(watch.pause_s),
+            "loop_lag_s": self.loop_lag_s,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +304,6 @@ def task_runtime() -> Iterator[Dict[str, object]]:
             if stats.get("collections", 0) > before}
 
 
-#: The process-wide sampler.  Dormant (no thread) until ``start()`` —
-#: serve starts it; one-shot CLI commands just read the gauges, which are
-#: callback-backed and always live.
+#: The process-wide hooks.  The gauges are callback-backed and always
+#: live; serve adds the GC watch and the loop monitor.
 RUNTIME = RuntimeSampler()

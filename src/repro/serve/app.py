@@ -54,9 +54,9 @@ Endpoints (all JSON):
     Windowed time-series over the bounded metrics-history ring
     (:mod:`repro.obs.history`): ``?window=<seconds>`` selects the
     trailing window, ``?names=a,b`` filters series by metric name.
-    Counter rates, gauge min/last/max, histogram p50/p95/p99 — the
-    ``repro top`` dashboard's data source.  Response size is bounded by
-    the ring capacity regardless of uptime or store size.
+    Counter rates, gauge min/last/max, histogram p50/p95/p99 — the same
+    window every flight-recorder bundle embeds.  Response size is bounded
+    by the ring capacity regardless of uptime or store size.
 ``POST /debug/dump``
     Write a flight-recorder bundle now (requires ``--flight-dir``);
     responds with the bundle path.
@@ -73,6 +73,7 @@ touch disk or re-serialise.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import math
 import re
@@ -156,6 +157,9 @@ def _profile_hz(request: Request) -> int:
     except ValueError:
         return PROFILER.hz
 
+#: How long ``close()`` waits for flight bundles scheduled before it.
+FLIGHT_JOIN_S = 5.0
+
 #: Most filtered result pages a single response will carry unless the
 #: client asks for fewer.
 DEFAULT_PAGE_LIMIT = 100
@@ -220,7 +224,15 @@ def _record_payload(record) -> Dict[str, object]:
 
 
 class ReproApp:
-    """Route table + shared state of one serving process."""
+    """Route table + shared state of one serving process.
+
+    ``runtime_interval_s`` was the period of a runtime sampler thread that
+    no longer exists; the process gauges are now read on demand by each
+    metrics-history snapshot.  The parameter survives because callers
+    still pass it: ``0`` means "no GC watch", which keeps the
+    :data:`gc.callbacks` hook out of a measurement, and any other value
+    installs the watch at :meth:`start`.
+    """
 
     def __init__(self, cache_dir: str = DEFAULT_CACHE_DIR,
                  store_path: Optional[str] = None,
@@ -285,7 +297,7 @@ class ReproApp:
         REGISTRY.gauge("repro_pool_queue_depth",
                        "jobs accepted but not yet dispatched to the pool",
                        fn=self.jobs.queue_depth)
-        self.runtime_interval_s = runtime_interval_s
+        self._watch_gc = runtime_interval_s != 0
         self.history = MetricsHistory(capacity=history_capacity,
                                       interval_s=history_interval_s,
                                       on_snapshot=self._check_slo_breach)
@@ -316,10 +328,9 @@ class ReproApp:
         """Start the background machinery (needs a running event loop)."""
         self.jobs.start()
         self.history.start()
-        if self.runtime_interval_s > 0:
-            RUNTIME.start(interval_s=self.runtime_interval_s)
+        if self._watch_gc:
+            RUNTIME.gc_watch.install()
         try:
-            import asyncio
             loop = asyncio.get_running_loop()
         except RuntimeError:
             loop = None
@@ -349,9 +360,14 @@ class ReproApp:
 
     async def close(self) -> None:
         RUNTIME.disarm_loop_monitor()
-        RUNTIME.stop()
+        RUNTIME.gc_watch.remove()
         self.history.stop()
         await self.jobs.close()
+        # A bundle scheduled just before shutdown (a breaker that opened
+        # on the last job) must still land; wait off the loop thread.
+        if not await asyncio.to_thread(FLIGHT.join, FLIGHT_JOIN_S):
+            _LOG.warning("event=flight_dumps_unfinished %s",
+                         kv(waited_s=FLIGHT_JOIN_S))
         self.store.close()
 
     async def handle(self, request: Request) -> Response:

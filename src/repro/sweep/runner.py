@@ -345,6 +345,10 @@ def fold_task_result(result: TaskResult) -> Optional[int]:
 # one-way pipe as it picks a task up, and the pool lists every worker it
 # starts, so the submitter reads each exit code even after the pool reaped
 # the worker.  A non-zero exit fails the task that worker picked up last.
+# A worker that exits non-zero before any report failed at start (its
+# initializer raised) while the pool restarts it in a tight loop: once
+# ``processes`` of those deaths come in a row, the pool is respawned and
+# the calling Dispatch loses every task it has in flight.
 
 #: A pick-up report, ``(pid, dispatch id)``: far below ``PIPE_BUF``.
 _PICKUP = struct.Struct("!qq")
@@ -364,6 +368,8 @@ _pool_pickups: Optional[Tuple[Connection, Connection]] = None
 _picked: Dict[int, int] = {}
 #: dispatch id -> how its worker died under it, until its Dispatch reads it.
 _lost: Dict[int, str] = {}
+#: Non-zero exits without a pick-up report since the last report.
+_start_deaths = 0
 _dispatch_ids = itertools.count(1)
 #: In a pool worker: the write end of the pick-up pipe.
 _worker_pickups: Optional[Connection] = None
@@ -397,11 +403,13 @@ def _reap_workers() -> None:
     Exit codes are read before the pipe is drained: a worker writes its
     report before it can die, so every dead worker's last report is in.
     """
+    global _start_deaths
     exited = [(worker, worker.exitcode) for worker in list(_pool_workers)]
     reader = _pool_pickups[0]
     while reader.poll():
         pid, dispatch_id = _PICKUP.unpack(reader.recv_bytes())
         _picked[pid] = dispatch_id
+        _start_deaths = 0
     for worker, code in exited:
         if code is None:
             continue
@@ -415,19 +423,28 @@ def _reap_workers() -> None:
                         dispatch=dispatch_id, generation=_pool_generation))
         if dispatch_id is not None:
             _lost[dispatch_id] = f"worker {worker.pid} exited with code {code}"
+        else:
+            _start_deaths += 1
 
 
 def _lost_dispatches(dispatch_ids: Sequence[int]) -> Dict[int, str]:
-    """Which of ``dispatch_ids`` lost their worker, and how."""
+    """Which of ``dispatch_ids`` lost their worker, and how; all of them
+    when the pool's workers keep dying before they pick a task up."""
     with _pool_lock:
         if _pool is not None:
             _reap_workers()
+            if _start_deaths >= _pool_processes:
+                detail = (f"{_start_deaths} pool workers exited before "
+                          f"picking a task up")
+                respawn_pool("worker-start")
+                for dispatch_id in dispatch_ids:
+                    _lost.setdefault(dispatch_id, detail)
         return {i: _lost.pop(i) for i in dispatch_ids if i in _lost}
 
 
 def _shutdown_pool() -> None:
     global _pool, _pool_processes, _pool_maxtasks, _pool_generation, \
-        _pool_pickups
+        _pool_pickups, _start_deaths
     with _pool_lock:
         if _pool is not None:
             _reap_workers()          # deaths before the teardown still count
@@ -435,6 +452,7 @@ def _shutdown_pool() -> None:
             _pool.join()
             _pool_workers.clear()    # terminated on purpose: not deaths
             _picked.clear()
+            _start_deaths = 0
             for end in _pool_pickups:
                 end.close()
             _pool = None
@@ -510,12 +528,6 @@ class SweepResult:
     @property
     def errors(self) -> List[SweepRecord]:
         return [r for r in self.records if not r.ok]
-
-    def record_for(self, scenario: str) -> SweepRecord:
-        for record in self.records:
-            if record.scenario == scenario:
-                return record
-        raise KeyError(scenario)
 
     def summary_table(self) -> str:
         return render_table(summary_rows(self.records))
@@ -699,7 +711,10 @@ class Dispatch:
     * **crash** — a dispatch whose result raises (an injected fault) is
       retried with backoff;
     * **worker death** — a worker that exits with a non-zero code fails
-      exactly the task it picked up last; the tasks beside it run on;
+      exactly the task it picked up last; the tasks beside it run on.
+      When ``processes`` workers in a row die before picking a task up,
+      the pool is respawned (``worker-start``) and every task this
+      dispatch has in flight fails as a worker death;
     * **deadline** — a task outliving ``deadline_s`` cannot be cancelled
       individually, so the pool is respawned: the expired task burns a
       retry, and every task the respawn killed — this dispatch's or

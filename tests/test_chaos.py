@@ -254,6 +254,32 @@ class TestSweepChaos:
         assert _counter("repro_sweep_worker_deaths_total") == deaths_before
         assert _retries() == retries_before
 
+    def test_workers_dying_at_start_fail_their_tasks_fast(
+            self, tmp_path, monkeypatch):
+        # Regression: workers whose initializer raised died before any
+        # pick-up report, so no task failed; the stdlib pool restarted
+        # them in a tight loop until every task's deadline expired.
+        respawn_pool("cold-start")     # a warm pool skips the initializer
+
+        def broken_initializer(pickups):
+            raise RuntimeError("initializer failed")
+
+        monkeypatch.setattr(runner, "_pool_initializer", broken_initializer)
+        deaths_before = _counter("repro_sweep_worker_deaths_total")
+        started = time.monotonic()
+        try:
+            result = run_sweep(names=["ring-4", "star-hub-8"], jobs=2,
+                               cache_dir=str(tmp_path), retries=1,
+                               task_deadline_s=20.0)
+        finally:
+            respawn_pool("initializer-restored")
+        assert time.monotonic() - started < 10.0
+        assert [r.status for r in result.records] == ["failed", "failed"]
+        assert all("before picking a task up" in r.error
+                   for r in result.records)
+        assert _counter("repro_sweep_worker_deaths_total") - deaths_before \
+            < 20
+
     def test_retry_reasons_are_labels_not_exception_text(self, tmp_path):
         # Regression: a parallel sweep labelled the retry with the injected
         # exception's text; the text belongs in the log line and the

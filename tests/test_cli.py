@@ -21,6 +21,18 @@ class TestParser:
         assert args.pairs == ["a:b", "c:d"]
         assert args.duration == 60.0
 
+    @pytest.mark.parametrize("argv", [
+        ["top", "--url", "http://127.0.0.1:8765"],
+        ["obs", "dump", "--url", "http://127.0.0.1:8765"],
+        ["obs", "dump", "--flight-dir", "flight"],
+        ["serve", "--runtime-interval", "1"],
+    ])
+    def test_removed_surface_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
 
 class TestCommands:
     def test_map_ens_lyon(self, capsys, tmp_path):

@@ -10,8 +10,10 @@ Covers the PR 10 observability surface end to end:
 * :class:`repro.obs.flightrec.FlightRecorder` — bundle contents, cooldown
   rate-limiting, pruning, and graceful failure under injected ENOSPC;
 * :mod:`repro.obs.export` — Chrome-trace golden math and the
-  ``repro trace --format chrome`` round-trip, plus dashboard rendering;
-* the serve endpoints ``GET /metrics/history`` and ``POST /debug/dump``.
+  ``repro trace --format chrome`` round-trip;
+* the serve endpoints ``GET /metrics/history`` and ``POST /debug/dump``,
+  serve's one telemetry thread, and ``close()`` waiting for scheduled
+  flight dumps.
 """
 
 import asyncio
@@ -26,12 +28,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.faults import FaultPlan, FaultSpec, clear_plan, install_plan
-from repro.obs.export import (
-    chrome_trace,
-    chrome_trace_json,
-    render_dashboard,
-    sparkline,
-)
+from repro.obs import flightrec
+from repro.obs.export import chrome_trace
 from repro.obs.flightrec import FLIGHT, FlightRecorder
 from repro.obs.history import MetricsHistory, base_name, \
     percentile_from_buckets
@@ -44,7 +42,7 @@ from repro.obs.runtime import (
     rss_bytes,
     task_runtime,
 )
-from repro.serve import ReproApp, start_server
+from repro.serve import ReproApp, Request, start_server
 from repro.sweep.runner import fold_task_result, submit_scenario
 
 
@@ -208,16 +206,6 @@ class TestRuntimeSampler:
         assert cpu_seconds() > 0.0
         assert open_fds() >= 3.0                # stdio at minimum
 
-    def test_sample_updates_last_and_peak(self):
-        sampler = RuntimeSampler(registry=MetricsRegistry())
-        snapshot = sampler.sample()
-        for key in ("ts", "rss_bytes", "cpu_s", "open_fds", "threads",
-                    "gc_collections", "gc_pause_s", "loop_lag_s"):
-            assert key in snapshot
-        assert sampler.samples_taken == 1
-        assert sampler.peak_rss == snapshot["rss_bytes"]
-        assert sampler.last == snapshot
-
     def test_gc_watch_counts_collections(self):
         sampler = RuntimeSampler(registry=MetricsRegistry())
         sampler.gc_watch.install()
@@ -233,25 +221,6 @@ class TestRuntimeSampler:
         gc.collect()
         assert sum(sampler.gc_watch.collections) == settled
 
-    def test_start_stop_thread_lifecycle(self):
-        registry = MetricsRegistry()
-        sampler = RuntimeSampler(registry=registry)
-        sampler.start(interval_s=0.02)
-        try:
-            assert sampler.running
-            deadline = time.monotonic() + 5.0
-            while sampler.samples_taken < 3 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert sampler.samples_taken >= 3
-            sampler.start()                     # idempotent
-        finally:
-            sampler.stop()
-        assert not sampler.running
-        state = sampler.state()
-        assert state["running"] is False
-        assert state["samples_taken"] >= 3
-        json.dumps(state)                       # JSON-safe for bundles
-
     def test_standard_process_metrics_on_prometheus_exposition(self):
         # RUNTIME registered the standard names on the global registry at
         # import; off-the-shelf process dashboards read these unchanged.
@@ -265,6 +234,23 @@ class TestRuntimeSampler:
                 break
         else:
             raise AssertionError("no process_resident_memory_bytes sample")
+
+    def test_peak_rss_gauge_reads_ru_maxrss(self):
+        # The kernel's high-water mark, read at scrape time: no sampled
+        # maximum that could miss a spike between two samples.
+        value = REGISTRY.value("repro_runtime_peak_rss_bytes")
+        assert value > 0
+        assert value == pytest.approx(peak_rss_bytes(), rel=0.05)
+
+    def test_state_reads_the_process_now(self):
+        sampler = RuntimeSampler(registry=MetricsRegistry())
+        state = sampler.state()
+        assert state["rss_bytes"] > 0
+        assert state["peak_rss_bytes"] > 0
+        assert state["threads"] >= 1
+        assert state["gc_watch_installed"] is False
+        assert len(state["gc_collections"]) == 3
+        json.dumps(state)                       # JSON-safe for bundles
 
     def test_ingest_folds_worker_payload(self):
         registry = MetricsRegistry()
@@ -397,7 +383,7 @@ class TestFlightRecorder:
         assert path is not None and os.path.exists(path)
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["reason"] == "manual"
         assert doc["pid"] == os.getpid()
         assert doc["healthz"]["status"] == "ok"
@@ -417,6 +403,9 @@ class TestFlightRecorder:
             "cooldowns are per reason"
         recorder.reset_cooldowns()
         assert recorder.maybe_dump("breaker-open") is True
+        # The dump threads log when they finish: let them, before pytest
+        # closes this test's captured streams.
+        assert recorder.join(10.0)
 
     def test_prune_keeps_newest_bundles(self, tmp_path):
         recorder = FlightRecorder(flight_dir=str(tmp_path), max_bundles=3)
@@ -448,7 +437,7 @@ class TestFlightRecorder:
 
 
 # ---------------------------------------------------------------------------
-# span export + dashboard
+# span export
 
 
 class TestChromeExport:
@@ -500,32 +489,6 @@ class TestChromeExport:
         assert {e["name"] for e in doc["traceEvents"]
                 if e["ph"] == "X"} == {"parent", "child"}
         capsys.readouterr()
-
-    def test_sparkline(self):
-        assert sparkline([]) == ""
-        assert sparkline([None, None]) == ""
-        assert sparkline([1.0, 1.0]) == "▁▁"
-        line = sparkline([0.0, None, 10.0])
-        assert line[0] == "▁" and line[1] == " " and line[2] == "█"
-        assert len(sparkline(list(range(100)), width=10)) == 10
-
-    def test_render_dashboard_smoke(self):
-        history = {"window_s": 60.0, "snapshots": 3, "series": {
-            "repro_http_responses_total{code=2xx}": {
-                "type": "counter", "rate_per_s": 1.5,
-                "points": [[0.0, 0.0], [1.0, 1.0], [2.0, 3.0]]},
-            "process_resident_memory_bytes": {
-                "type": "gauge", "last": 50.0 * 1024 * 1024,
-                "points": [[0.0, 4e7], [2.0, 5e7]]},
-        }}
-        healthz = {"status": "ok", "uptime_s": 12.0,
-                   "breakers": {"bad-scn": {"state": "open"}}}
-        frame = render_dashboard(history, healthz, url="http://x:1")
-        assert "repro top — http://x:1" in frame
-        assert "status: ok" in frame
-        assert "2xx:1.50/s" in frame
-        assert "50.0MiB" in frame
-        assert "bad-scn:open" in frame
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +556,54 @@ class TestServeEndpoints:
             assert status == 400
 
         _with_app(scenario, cache_dir=str(tmp_path), pool_processes=1)
+
+    def test_serve_runs_one_telemetry_thread(self, tmp_path):
+        async def scenario():
+            app = ReproApp(cache_dir=str(tmp_path), pool_processes=1)
+            app.start()
+            try:
+                names = {thread.name for thread in threading.enumerate()
+                         if thread.name.startswith("repro-")}
+                assert names == {"repro-metrics-history"}
+                response = await app.handle(Request(
+                    method="GET", path="/metrics",
+                    query={"format": "prometheus"}))
+            finally:
+                await app.close()
+            text = response.body.decode()
+            for name in ("process_resident_memory_bytes",
+                         "process_cpu_seconds_total", "process_open_fds",
+                         "repro_runtime_threads",
+                         "repro_runtime_peak_rss_bytes",
+                         "repro_loop_lag_seconds",
+                         "repro_gc_collections_total",
+                         "repro_gc_pause_seconds_total"):
+                assert f"\n{name}" in text, name
+
+        asyncio.run(scenario())
+
+    def test_close_waits_for_scheduled_flight_dumps(self, tmp_path,
+                                                    monkeypatch):
+        # Regression: maybe_dump's thread outlived the app that scheduled
+        # it, so a bundle triggered just before shutdown could be lost.
+        write = flightrec.write_atomic
+
+        def slow_write(*args, **kwargs):
+            time.sleep(0.3)
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(flightrec, "write_atomic", slow_write)
+        flight = tmp_path / "flight"
+
+        async def scenario():
+            app = ReproApp(cache_dir=str(tmp_path), pool_processes=1,
+                           flight_dir=str(flight))
+            app.start()
+            assert FLIGHT.maybe_dump("breaker-open")
+            await app.close()
+            assert glob.glob(str(flight / "flight-breaker-open-*.json"))
+
+        asyncio.run(scenario())
 
     def test_debug_dump_disabled_and_enabled(self, tmp_path):
         async def scenario(app, port):

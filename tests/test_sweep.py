@@ -1,6 +1,9 @@
 """Tests of the sweep engine: sharding, caching, result store and CLI."""
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -376,6 +379,45 @@ class TestSweepCLI:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "4 served from cache" in out
+
+
+class TestHashSeedIndependence:
+    """Results must not depend on string-hash order.  RC001 checks set
+    iteration in hash-critical modules statically; this runs the smoke
+    sweep under two ``PYTHONHASHSEED`` values and compares the records."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from repro.sweep import run_sweep\n"
+        "result = run_sweep(pattern='smoke', jobs=1, rerun=True,\n"
+        "                   cache_dir=sys.argv[1])\n"
+        "for record in result.records:\n"
+        "    print('RECORD', record.to_json())\n")
+
+    def test_smoke_records_do_not_depend_on_hash_seed(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        runs = {}
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            runs[seed] = subprocess.Popen(
+                [sys.executable, "-c", self.SCRIPT,
+                 str(tmp_path / f"cache-{seed}")],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        records = {}
+        for seed, process in runs.items():
+            out, err = process.communicate(timeout=300)
+            assert process.returncode == 0, err.decode()
+            records[seed] = [json.loads(line[len("RECORD "):])
+                             for line in out.decode().splitlines()
+                             if line.startswith("RECORD ")]
+            for record in records[seed]:
+                assert record["status"] == "ok", record["error"]
+                # Wall-clock readings are the only expected difference.
+                del record["elapsed_s"]
+                del record["summary"]["timings"]
+        assert len(records["0"]) >= 4
+        assert records["0"] == records["1"]
 
 
 class TestConcurrentStoreWriters:
