@@ -7,9 +7,11 @@ PYTEST   = PYTHONPATH=src $(PYTHON) -m pytest
 REPRO    = PYTHONPATH=src $(PYTHON) -m repro.cli
 
 .PHONY: verify tier1 bench-figures check chaos smoke-sweep smoke-sweep-fresh \
-	smoke-import smoke-serve sweep bench bench-smoke bench-check clean
+	smoke-import smoke-serve smoke-e2e sweep bench bench-smoke bench-check \
+	clean
 
-verify: check tier1 bench-figures smoke-sweep smoke-import smoke-serve
+verify: check tier1 bench-figures smoke-sweep smoke-import smoke-serve \
+	smoke-e2e
 
 tier1:
 	$(PYTEST) -x -q
@@ -73,6 +75,13 @@ smoke-import:
 # sweep, so the pipeline run is normally a warm cache hit.
 smoke-serve:
 	PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py
+
+# The end-to-end benchmark's smoke tests: each workload of BENCHMARK.json
+# once at smoke size, traced and untraced, plus compare.py.  The benchmark
+# drives the shell through its public names (ReproApp, the result store's
+# stats, the sweep pool), so this is where a change that breaks one shows.
+smoke-e2e:
+	$(PYTEST) -q benchmarks/e2e/test_e2e_smoke.py
 
 # The full catalog; cached results are reused (use --rerun to force).
 sweep:

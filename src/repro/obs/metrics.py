@@ -190,6 +190,11 @@ class MetricsRegistry:
                   labels: Sequence[str],
                   buckets: Sequence[float],
                   fn: Optional[Callable[[], float]]) -> Metric:
+        if fn is not None and not callable(fn):
+            # A property passed as ``fn=obj.prop`` hands over its value:
+            # every scrape would call it and export NaN.
+            raise TypeError(f"metric {name!r}: fn must be callable, "
+                            f"got {type(fn).__name__}")
         with self._lock:
             metric = self._metrics.get(name)
             if metric is not None:

@@ -63,9 +63,9 @@ def run_server(app: ReproApp, host: str = "127.0.0.1", port: int = 8765,
     The blocking CLI entry point.  On the first SIGTERM (or Ctrl-C) the
     server stops accepting connections, refuses new job submissions,
     waits up to ``drain_timeout_s`` for in-flight jobs, flushes the
-    result store (in-memory fallback records, the sidecar index) and
-    exits 0 — no half-written state, no abandoned clients.  A second
-    signal during the drain aborts it.
+    result store's in-memory fallback records and exits 0 — no
+    half-written state, no abandoned clients.  A second signal during the
+    drain aborts it.
 
     ``announce`` is called once with the bound port — the CLI prints the
     URL from it, and ``--port 0`` smoke harnesses parse that line to learn

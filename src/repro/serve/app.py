@@ -12,8 +12,8 @@ Endpoints (all JSON):
 ``GET /results``
     Filtered/paginated store records: ``?scenario= &family= &status=
     &scenario_hash= &code_version= &limit= &offset=`` plus ``?latest=1``
-    for the newest record per scenario.  Answered from the sidecar index —
-    no full-file parse.
+    for the newest record per scenario.  Answered from the store's
+    in-memory index — no full-file parse.
 ``GET /results/{scenario}/latest``
     The newest stored record of one scenario, ``ETag:
     "<scenario_hash>+<code_version>"``.
@@ -277,10 +277,10 @@ class ReproApp:
                        fn=lambda: sum(1 for j in self.jobs.jobs()
                                       if j.status == "running"))
         REGISTRY.gauge("repro_store_records",
-                       "result-store records the sidecar index covers",
+                       "result-store records indexed or held in memory",
                        fn=self.store.count)
         REGISTRY.gauge("repro_store_bytes",
-                       "result-store bytes the sidecar index covers",
+                       "result-store bytes the in-memory index covers",
                        fn=self.store.indexed_size)
         REGISTRY.gauge("repro_response_cache_entries",
                        "rendered response bodies held in the LRU",
@@ -343,9 +343,9 @@ class ReproApp:
 
     async def drain(self, timeout_s: float = 10.0) -> None:
         """Graceful shutdown, phase one: refuse new jobs, wait for
-        in-flight ones up to ``timeout_s``, then flush everything durable
-        (in-memory fallback records, the sidecar index, buffered spans go
-        with the span-log handler's own flushing).  :meth:`close` follows.
+        in-flight ones up to ``timeout_s``, then flush the store's
+        in-memory fallback records (buffered spans go with the span-log
+        handler's own flushing).  :meth:`close` follows.
         """
         # The bundle is written *before* the drain so it captures the
         # in-flight state SIGTERM interrupted, not the emptied-out queue —
@@ -590,12 +590,9 @@ class ReproApp:
         latest = request.query.get("latest", "") in ("1", "true", "yes")
         query_key = ("results", tuple(sorted(filters.items())), limit,
                      offset, latest, order)
-        # Index any fresh appends *before* deriving the tag, or the first
-        # query after an append would carry a pre-refresh tag its own
-        # response immediately invalidates.
-        self.store.refresh()
-        # The tag covers the query *and* the store state: a 304 must never
-        # leak across differently-filtered result pages.
+        # The tag covers the query *and* the store state (which indexes
+        # fresh appends first): a 304 must never leak across
+        # differently-filtered result pages.
         etag = '"results-' + hashlib.sha256(
             (repr(query_key) + self.store.state_token()).encode("utf-8")
         ).hexdigest()[:20] + '"'

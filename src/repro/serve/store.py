@@ -5,24 +5,22 @@ schema-light — perfect for sweeps, terrible for queries: answering
 "the latest record of scenario X" used to mean parsing *every* line of the
 file (:func:`~repro.sweep.results.load_jsonl` is O(store) per call).
 
-:class:`ResultStore` keeps a sidecar index next to the store
-(``results.jsonl`` → ``results.idx.json``) mapping each record's
+:class:`ResultStore` keeps an in-memory index mapping each record's
 ``(scenario, family, scenario_hash, code_version, status)`` to its byte
-offset and length, so filtered queries **seek** straight to the matching
+span in the store, so filtered queries **seek** straight to the matching
 records and parse only those.  The index is:
 
-* **incremental** — it remembers how many store bytes it covers; new
-  appends are indexed by scanning only the tail.  In-process appends are
-  picked up immediately through the :func:`~repro.sweep.results.add_append_hook`
-  mechanism, cross-process appends on the next refresh.
-* **self-healing** — a missing, corrupt, stale or wrong-schema sidecar is
-  rebuilt transparently from the store; a store that shrank or was replaced
-  triggers a full rebuild.  The sidecar is advisory: deleting it costs one
-  rebuild, never correctness.
-* **crash-safe** — written via :func:`repro.ioutils.write_atomic`, so a
-  killed process can leave a *stale* index but never a torn one.  Concurrent
-  writers race benignly: last writer wins, and a lost update is repaired by
-  the next tail scan.
+* **incremental** — every public read first indexes whatever was appended
+  since the last one, by whichever process: one ``stat`` when nothing
+  was, a scan of only the new tail when something was.
+* **torn-tail safe** — a partial trailing line (a concurrent append still
+  being written) is left un-indexed until its newline lands.
+* **self-healing** — a store that shrank is re-indexed from scratch; one
+  replaced out of band without shrinking surfaces as a parse error on
+  fetch, and the query rebuilds once and answers.
+
+Nothing is written beside the store: a new process indexes it with one
+full pass on its first read.
 
 Work accounting lives in :attr:`ResultStore.stats` (records parsed, bytes
 read, tail scans, full rebuilds, queries served) so benchmarks can assert
@@ -31,53 +29,46 @@ that indexed queries really avoid full-file parses.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..ioutils import write_atomic
 from ..obs.logs import get_logger, kv
 from ..obs.metrics import REGISTRY
-from ..sweep.results import (
-    SweepRecord,
-    add_append_hook,
-    append_jsonl,
-    remove_append_hook,
-)
+from ..sweep.results import SweepRecord, append_jsonl
 
-__all__ = ["ResultStore", "IndexEntry", "index_path", "INDEX_SCHEMA"]
+__all__ = ["ResultStore", "IndexEntry", "index_path"]
 
 _LOG = get_logger("serve.store")
 
 _FALLBACK_RECORDS = REGISTRY.counter(
     "repro_store_fallback_records_total",
     "result records held in memory because the disk refused them")
-_SIDECAR_ERRORS = REGISTRY.counter(
-    "repro_store_sidecar_write_errors_total",
-    "sidecar index writes the disk refused (index kept in memory)")
 
-INDEX_SCHEMA = 1
-
-#: Tail-indexed records accumulated before the sidecar is re-persisted.
-#: The sidecar write serialises *every* entry, so persisting per append
-#: would cost O(store²) over a store's lifetime; the index is advisory
-#: (anything unpersisted is re-derived by one tail scan), so batching
-#: loses nothing but a little warm-start work.
-PERSIST_EVERY = 64
-
-#: Metadata columns carried per index entry, in on-disk order (after the
-#: ``[offset, length]`` prefix).  Everything a filtered query needs without
-#: touching the store file.
+#: Filter columns carried per index entry: everything a filtered query
+#: needs without touching the store file.
 _FIELDS = ("scenario", "family", "scenario_hash", "code_version", "status")
+_columns = attrgetter(*_FIELDS)
 
 
 def index_path(store_path: str) -> str:
-    """The sidecar index path of a JSONL store (``results.jsonl`` →
-    ``results.idx.json``)."""
+    """Where older versions persisted a store's index (``results.jsonl`` →
+    ``results.idx.json``).  The store no longer writes this file; the name
+    stays so tools can clear one left behind."""
     base = store_path[:-len(".jsonl")] if store_path.endswith(".jsonl") \
         else store_path
     return base + ".idx.json"
+
+
+def _parse(line: bytes) -> SweepRecord:
+    """One store line as a record (:class:`ValueError` if it is none).
+
+    The scan and the loader both parse through here, so a fetched span
+    parses exactly as it did when it was indexed.
+    """
+    return SweepRecord.from_json(line.strip().decode("utf-8"))
 
 
 class IndexEntry:
@@ -95,46 +86,23 @@ class IndexEntry:
         self.code_version = code_version
         self.status = status
 
-    def to_row(self) -> List[object]:
-        return [self.offset, self.length] + [getattr(self, f)
-                                             for f in _FIELDS]
 
-    @classmethod
-    def from_row(cls, row: Sequence[object]) -> "IndexEntry":
-        if (not isinstance(row, (list, tuple)) or len(row) != 2 + len(_FIELDS)
-                or not all(isinstance(v, int) and not isinstance(v, bool)
-                           for v in row[:2])
-                or not all(isinstance(v, str) for v in row[2:])):
-            raise ValueError(f"malformed index row: {row!r}")
-        return cls(*row)  # type: ignore[arg-type]
-
-    def matches(self, filters: Dict[str, str]) -> bool:
-        return all(getattr(self, key) == value
-                   for key, value in filters.items())
-
-
-def _matches(obj: Union[IndexEntry, SweepRecord],
-             filters: Dict[str, str]) -> bool:
-    """Filter check shared by index entries and in-memory fallback records
-    (both carry the same attribute names)."""
-    return all(getattr(obj, key) == value for key, value in filters.items())
+#: A query match: an index entry, or a record held only in memory.  Both
+#: carry the filter columns under the same attribute names.
+Match = Union[IndexEntry, SweepRecord]
 
 
 class ResultStore:
     """Indexed, query-friendly view of one JSONL result store.
 
-    Thread-safe: the serving layer refreshes/queries from the event loop
-    while job threads append through the store hook.
+    Thread-safe: the serving layer queries from the event loop and the
+    metrics-history thread while job threads append to the store file.
     """
 
-    def __init__(self, path: str, persist_index: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.index_file = index_path(path)
-        self.persist_index = persist_index
         self._entries: List[IndexEntry] = []
         self._indexed_size = 0          # store bytes the index covers
-        self._loaded_sidecar = False
-        self._dirty = 0                 # entries indexed since last persist
         #: Records the disk refused (ENOSPC, torn appends): queries merge
         #: them in as the *newest* records so clients never lose a result
         #: to a full disk; :meth:`flush` retries landing them.
@@ -143,44 +111,33 @@ class ResultStore:
         self.stats: Dict[str, int] = {
             "queries": 0,
             "records_parsed": 0,        # store lines json-parsed (any reason)
-            "records_served": 0,        # records returned to callers
+            "records_served": 0,        # records read back from the store
             "bytes_read": 0,            # store bytes read (scan + fetch)
             "tail_scans": 0,
             "full_rebuilds": 0,
-            "index_writes": 0,
         }
-        # Keep the index hot across in-process appends (serve jobs, sweeps
-        # running inside the server process).
-        self._hook = self._on_append
-        add_append_hook(self._hook)
-
-    def close(self) -> None:
-        """Flush any unpersisted index state and detach the append-hook."""
-        remove_append_hook(self._hook)
-        self.flush()
 
     def flush(self) -> None:
-        """Persist pending state: retry in-memory fallback records onto
-        disk, then the sidecar if batched updates are pending."""
+        """Retry appending the in-memory fallback records to the store."""
         with self._lock:
             fallback = list(self._fallback)
-        if fallback:
-            # Append outside the lock — append_jsonl fires _on_append,
-            # which refreshes (and the disk may be slow to refuse again).
-            try:
-                append_jsonl(self.path, fallback)
-            except OSError as exc:
-                _LOG.warning("event=fallback_flush_failed %s",
-                             kv(path=self.path, records=len(fallback),
-                                error=str(exc)))
-            else:
-                with self._lock:
-                    del self._fallback[:len(fallback)]
-                _LOG.warning("event=fallback_flushed %s",
-                             kv(path=self.path, records=len(fallback)))
+        if not fallback:
+            return
+        # Append outside the lock: the disk may be slow to refuse again.
+        try:
+            append_jsonl(self.path, fallback)
+        except OSError as exc:
+            _LOG.warning("event=fallback_flush_failed %s",
+                         kv(path=self.path, records=len(fallback),
+                            error=str(exc)))
+            return
         with self._lock:
-            if self.persist_index and self._dirty:
-                self._write_sidecar()
+            del self._fallback[:len(fallback)]
+        _LOG.warning("event=fallback_flushed %s",
+                     kv(path=self.path, records=len(fallback)))
+
+    #: Shutdown only has fallback records left to land.
+    close = flush
 
     # -- degraded mode -------------------------------------------------------
 
@@ -209,183 +166,120 @@ class ResultStore:
 
     # -- index maintenance --------------------------------------------------
 
-    def _on_append(self, path: str, records: Sequence[SweepRecord]) -> None:
-        if os.path.abspath(path) != os.path.abspath(self.path):
-            return
-        # Offsets of the appended batch are unknown here (another process
-        # may have interleaved its own batch); a tail scan from the indexed
-        # watermark is cheap and always right.
-        self.refresh()
-
     def _store_size(self) -> int:
         try:
             return os.stat(self.path).st_size
         except OSError:
             return 0
 
-    def _load_sidecar(self) -> None:
-        """Adopt the persisted index if it is valid for the current store."""
-        self._loaded_sidecar = True
-        try:
-            with open(self.index_file, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            if (not isinstance(data, dict)
-                    or data.get("schema") != INDEX_SCHEMA
-                    or not isinstance(data.get("store_size"), int)
-                    or not isinstance(data.get("entries"), list)):
-                raise ValueError("not a result-store index")
-            entries = [IndexEntry.from_row(row) for row in data["entries"]]
-            size = data["store_size"]
-        except (OSError, ValueError, TypeError, json.JSONDecodeError):
-            return                       # absent/corrupt: rebuild from store
-        if size > self._store_size():
-            return                       # store shrank/replaced: rebuild
-        # Entries must lie inside the covered span, or the sidecar lies.
-        if any(e.offset + e.length > size for e in entries):
-            return
-        self._entries = entries
-        self._indexed_size = size
+    def refresh(self) -> None:
+        """Index whatever was appended since the last read (one ``stat``
+        when nothing was); a store that shrank is re-indexed from scratch."""
+        with self._lock:
+            size = self._store_size()
+            if size < self._indexed_size:
+                self._entries, self._indexed_size = [], 0
+            if size != self._indexed_size:
+                self._scan(size)
 
-    def _scan(self, start: int) -> None:
-        """Index every complete record line in ``path[start:]``.
+    def _scan(self, size: int) -> None:
+        """Index every complete record line in ``path[indexed:size]``.
 
         Corrupt/invalid lines are skipped (they stay invisible to queries,
         exactly as :func:`load_jsonl` skips them).  A partial trailing line
         (a torn concurrent append) is left un-indexed *and* uncovered, so
         the next refresh re-examines it once the writer finished.
         """
-        size = self._store_size()
-        if size <= start:
-            if size < start:             # store shrank/replaced: start over
-                self._entries = []
-                self._indexed_size = 0
-                if size:
-                    self._scan(0)
-                else:
-                    self.stats["full_rebuilds"] += 1
-            return
+        start = self._indexed_size
         self.stats["tail_scans" if start else "full_rebuilds"] += 1
-        covered = start
-        new_entries: List[IndexEntry] = []
         with open(self.path, "rb") as handle:
             handle.seek(start)
             blob = handle.read(size - start)
         self.stats["bytes_read"] += len(blob)
+        lines = blob.split(b"\n")
+        lines.pop()                     # the partial line, or b"" after "\n"
+        self.stats["records_parsed"] += len(lines)
         offset = start
-        for raw in blob.split(b"\n"):
-            line_end = offset + len(raw) + 1
-            if line_end > size + 1 or (line_end == size + 1
-                                       and not blob.endswith(b"\n")):
-                break                    # partial trailing line: not covered
-            stripped = raw.strip()
-            if stripped:
-                entry = self._index_line(stripped, offset, len(raw) + 1)
-                if entry is not None:
-                    new_entries.append(entry)
-            covered = min(line_end, size)
-            offset = line_end
-        self._entries.extend(new_entries)
-        self._indexed_size = covered
-        self._dirty += len(new_entries)
-        # Full (re)builds persist immediately — they are rare and the whole
-        # point of the sidecar; steady-state tail updates batch up.
-        if self.persist_index and (start == 0 or
-                                   self._dirty >= PERSIST_EVERY):
-            self._write_sidecar()
+        for line in lines:
+            try:
+                columns = _columns(_parse(line))
+            except ValueError:
+                columns = None          # not a record: skipped, never served
+            if columns is not None:
+                self._entries.append(IndexEntry(offset, len(line), *columns))
+            offset += len(line) + 1
+        self._indexed_size = offset
 
-    def _index_line(self, line: bytes, offset: int,
-                    length: int) -> Optional[IndexEntry]:
-        try:
-            record = SweepRecord.from_json(line.decode("utf-8"))
-        except (ValueError, TypeError, UnicodeDecodeError):
-            return None
-        finally:
-            self.stats["records_parsed"] += 1
-        return IndexEntry(offset, length, record.scenario, record.family,
-                          record.scenario_hash, record.code_version,
-                          record.status)
-
-    def _write_sidecar(self) -> None:
-        payload = json.dumps(
-            {"schema": INDEX_SCHEMA, "store_size": self._indexed_size,
-             "entries": [e.to_row() for e in self._entries]},
-            separators=(",", ":")) + "\n"
-        try:
-            write_atomic(self.index_file, payload, suffix=".json")
-        except OSError as exc:
-            # The sidecar is advisory: keep serving from the in-memory
-            # index, stay dirty so a later flush retries the write.
-            _SIDECAR_ERRORS.inc()
-            _LOG.warning("event=sidecar_write_error %s",
-                         kv(path=self.index_file, error=str(exc)))
-            return
-        self._dirty = 0
-        self.stats["index_writes"] += 1
-
-    def refresh(self) -> None:
-        """Bring the index up to date with the store file (cheap when it
-        already is)."""
-        with self._lock:
-            if not self._loaded_sidecar:
-                self._load_sidecar()
-            size = self._store_size()
-            if size != self._indexed_size:
-                self._scan(self._indexed_size)
-
-    def _rebuild(self) -> None:
-        """Drop the index and reindex the whole store from scratch."""
-        with self._lock:
-            self._entries = []
-            self._indexed_size = 0
-            self._scan(0)
-
-    def _recovering(self, fn):
-        """Run a query, rebuilding once if its entries point at garbage.
+    def _recovering(self, read):
+        """Run ``read`` on a fresh index, rebuilding once if its entries
+        point at garbage.
 
         Size checks catch a *shrunken* replaced store; an out-of-band
         replacement with same-or-larger size can leave entries whose byte
         spans no longer frame whole records, which surfaces as a parse
-        error in :meth:`_fetch`.  One full rebuild restores the invariant.
+        error in :meth:`_load`.  One full rebuild restores the invariant.
         """
-        try:
-            return fn()
-        except (ValueError, UnicodeDecodeError):
-            self._rebuild()
-            return fn()
+        with self._lock:
+            self.refresh()
+            try:
+                return read()
+            except ValueError:
+                self._entries, self._indexed_size = [], 0
+                self.refresh()
+                return read()
 
     # -- queries ------------------------------------------------------------
 
-    @property
     def indexed_size(self) -> int:
-        return self._indexed_size
+        """Store bytes the index covers (gauge callback)."""
+        with self._lock:
+            self.refresh()
+            return self._indexed_size
 
     def state_token(self) -> str:
         """A token that changes whenever query results may change (cache
         key component for response caches)."""
         with self._lock:
+            self.refresh()
             token = f"{self._indexed_size}-{len(self._entries)}"
             if self._fallback:
                 token += f"-m{len(self._fallback)}"
             return token
 
     def count(self) -> int:
-        self.refresh()
         with self._lock:
+            self.refresh()
             return len(self._entries) + len(self._fallback)
 
-    def _fetch(self, entries: Sequence[IndexEntry]) -> List[SweepRecord]:
-        """Seek-and-parse exactly the given records."""
+    def _newest_first(self, filters: Dict[str, str]) -> Iterator[Match]:
+        """Every match of ``filters``, newest first: the fallback records
+        (the latest appends), then the index.  Lazy, so a caller that
+        wants one match stops at it; run it under the lock."""
+        matches = chain(reversed(self._fallback), reversed(self._entries))
+        if not filters:
+            return matches
+        # One C-level getter per match, compared as a whole: a per-column
+        # generator costs several times more on the polled latest route.
+        columns = attrgetter(*filters)
+        wanted = itemgetter(*filters)(filters)
+        return (match for match in matches if columns(match) == wanted)
+
+    def _load(self, matches: Sequence[Match]) -> List[SweepRecord]:
+        """The records behind ``matches``: fallback records as they are,
+        index entries read from their byte span and parsed."""
+        if all(isinstance(match, SweepRecord) for match in matches):
+            return list(matches)
         records: List[SweepRecord] = []
-        if not entries:
-            return records
         with open(self.path, "rb") as handle:
-            for entry in entries:
-                handle.seek(entry.offset)
-                blob = handle.read(entry.length)
-                self.stats["bytes_read"] += len(blob)
-                self.stats["records_parsed"] += 1
-                records.append(SweepRecord.from_json(blob.decode("utf-8")))
-        self.stats["records_served"] += len(records)
+            for match in matches:
+                if isinstance(match, IndexEntry):
+                    handle.seek(match.offset)
+                    blob = handle.read(match.length)
+                    self.stats["bytes_read"] += len(blob)
+                    self.stats["records_parsed"] += 1
+                    self.stats["records_served"] += 1
+                    match = _parse(blob)
+                records.append(match)
         return records
 
     @staticmethod
@@ -419,68 +313,35 @@ class ResultStore:
         filters = self._filters(scenario, family, scenario_hash,
                                 code_version, status)
 
-        def run() -> Tuple[List[SweepRecord], int]:
-            self.refresh()
-            with self._lock:
-                self.stats["queries"] += 1
-                matches: List[Union[IndexEntry, SweepRecord]] = \
-                    [e for e in self._entries if e.matches(filters)]
-                # In-memory fallback records (disk refused them) are the
-                # newest appends, so they go after the indexed entries.
-                matches.extend(r for r in self._fallback
-                               if _matches(r, filters))
-                if newest_first:
-                    matches.reverse()
-                total = len(matches)
-                page = matches[offset:
-                               None if limit is None else offset + limit]
-                fetched = iter(self._fetch(
-                    [x for x in page if isinstance(x, IndexEntry)]))
-                return [next(fetched) if isinstance(x, IndexEntry) else x
-                        for x in page], total
+        def read() -> Tuple[List[SweepRecord], int]:
+            self.stats["queries"] += 1
+            matches = list(self._newest_first(filters))
+            if not newest_first:
+                matches.reverse()
+            end = None if limit is None else offset + limit
+            return self._load(matches[offset:end]), len(matches)
 
-        return self._recovering(run)
+        return self._recovering(read)
 
     def latest_entry(self, scenario: str,
-                     status: Optional[str] = None) -> Optional[IndexEntry]:
-        """Index metadata of the newest record of ``scenario`` — existence,
-        hash and code version without reading the store body (conditional
-        requests answer from this alone)."""
-        self.refresh()
+                     status: Optional[str] = None) -> Optional[Match]:
+        """The newest index entry (or in-memory record) of ``scenario`` —
+        existence, hash and code version without reading the store body
+        (conditional requests answer from this alone)."""
         with self._lock:
+            self.refresh()
             self.stats["queries"] += 1
-            for record in reversed(self._fallback):
-                if record.scenario == scenario and \
-                        (status is None or record.status == status):
-                    # Synthetic entry (offset -1: not on disk) so ETag
-                    # computation keeps working in degraded mode.
-                    return IndexEntry(-1, 0, record.scenario, record.family,
-                                      record.scenario_hash,
-                                      record.code_version, record.status)
-            for entry in reversed(self._entries):
-                if entry.scenario == scenario and \
-                        (status is None or entry.status == status):
-                    return entry
-        return None
+            return next(self._newest_first(
+                self._filters(scenario=scenario, status=status)), None)
 
     def latest(self, scenario: str,
                status: Optional[str] = None) -> Optional[SweepRecord]:
         """The most recently appended record of ``scenario`` (or ``None``)."""
-        def run() -> Optional[SweepRecord]:
-            self.refresh()
-            with self._lock:
-                self.stats["queries"] += 1
-                for record in reversed(self._fallback):
-                    if record.scenario == scenario and \
-                            (status is None or record.status == status):
-                        return record
-                for entry in reversed(self._entries):
-                    if entry.scenario == scenario and \
-                            (status is None or entry.status == status):
-                        return self._fetch([entry])[0]
-            return None
+        def read() -> Optional[SweepRecord]:
+            match = self.latest_entry(scenario, status)
+            return None if match is None else self._load([match])[0]
 
-        return self._recovering(run)
+        return self._recovering(read)
 
     def latest_per_scenario(self,
                             family: Optional[str] = None,
@@ -490,28 +351,11 @@ class ResultStore:
         sorted by scenario name."""
         filters = self._filters(family=family, status=status)
 
-        def run() -> List[SweepRecord]:
-            self.refresh()
-            with self._lock:
-                self.stats["queries"] += 1
-                newest: Dict[str, Union[IndexEntry, SweepRecord]] = {}
-                for entry in self._entries:
-                    if entry.matches(filters):
-                        newest[entry.scenario] = entry
-                for record in self._fallback:     # newest: they override
-                    if _matches(record, filters):
-                        newest[record.scenario] = record
-                ordered = [newest[name] for name in sorted(newest)]
-                fetched = iter(self._fetch(
-                    [x for x in ordered if isinstance(x, IndexEntry)]))
-                return [next(fetched) if isinstance(x, IndexEntry) else x
-                        for x in ordered]
+        def read() -> List[SweepRecord]:
+            self.stats["queries"] += 1
+            newest: Dict[str, Match] = {}
+            for match in self._newest_first(filters):
+                newest.setdefault(match.scenario, match)
+            return self._load([newest[name] for name in sorted(newest)])
 
-        return self._recovering(run)
-
-    def scenarios_seen(self) -> List[str]:
-        """Every scenario name with at least one stored record, sorted."""
-        self.refresh()
-        with self._lock:
-            return sorted({e.scenario for e in self._entries}
-                          | {r.scenario for r in self._fallback})
+        return self._recovering(read)

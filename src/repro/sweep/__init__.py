@@ -2,12 +2,10 @@
 
 from .results import (
     SweepRecord,
-    add_append_hook,
     append_jsonl,
     default_store_path,
     load_jsonl,
     records_json,
-    remove_append_hook,
     summary_rows,
 )
 from .runner import (
@@ -28,8 +26,7 @@ from .runner import (
 
 __all__ = [
     "SweepRecord", "append_jsonl", "load_jsonl", "summary_rows",
-    "records_json", "default_store_path", "add_append_hook",
-    "remove_append_hook",
+    "records_json", "default_store_path",
     "SweepResult", "run_sweep", "run_scenario",
     "cache_path", "code_version",
     "load_cached_record", "store_record", "submit_scenario",

@@ -6,13 +6,12 @@ import json
 import os
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..ioutils import append_line
 
 __all__ = ["SweepRecord", "append_jsonl", "load_jsonl", "summary_rows",
-           "records_json", "default_store_path", "add_append_hook",
-           "remove_append_hook"]
+           "records_json", "default_store_path"]
 
 
 @dataclass
@@ -46,11 +45,15 @@ class SweepRecord:
     def from_json(cls, line: str) -> "SweepRecord":
         """Parse one store line, rejecting corrupt/truncated records.
 
-        Raises :class:`ValueError` when the line is not a JSON object, a
-        required field is missing or mistyped, or the status is unknown —
-        instead of silently constructing a record full of ``None``s.
+        Raises :class:`ValueError` when the line is not a JSON object (or
+        nests too deeply to parse), a required field is missing or
+        mistyped, or the status is unknown — instead of silently
+        constructing a record full of ``None``s.
         """
-        data = json.loads(line)
+        try:
+            data = json.loads(line)
+        except RecursionError:
+            raise ValueError("sweep record line nests too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("sweep record line is not a JSON object")
         bad = [k for k in cls._REQUIRED if not isinstance(data.get(k), str)]
@@ -79,26 +82,6 @@ def default_store_path(cache_dir: str) -> str:
     return os.path.join(cache_dir, "results.jsonl")
 
 
-#: Callbacks invoked after every successful :func:`append_jsonl`, with the
-#: store path and the records just appended.  The serving layer's result
-#: index registers here so in-process appends (HTTP-submitted runs, sweeps)
-#: extend the index without waiting for the next on-demand refresh.
-_APPEND_HOOKS: List[Callable[[str, Sequence[SweepRecord]], None]] = []
-
-
-def add_append_hook(hook: Callable[[str, Sequence[SweepRecord]], None]) -> None:
-    """Register a post-append callback (idempotent)."""
-    if hook not in _APPEND_HOOKS:
-        _APPEND_HOOKS.append(hook)
-
-
-def remove_append_hook(hook: Callable[[str, Sequence[SweepRecord]], None]
-                       ) -> None:
-    """Drop a previously registered post-append callback if present."""
-    if hook in _APPEND_HOOKS:
-        _APPEND_HOOKS.remove(hook)
-
-
 def append_jsonl(path: str, records: Sequence[SweepRecord]) -> None:
     """Append ``records`` to the JSONL result store at ``path``.
 
@@ -111,26 +94,25 @@ def append_jsonl(path: str, records: Sequence[SweepRecord]) -> None:
         return
     payload = "".join(record.to_json() + "\n" for record in records)
     append_line(path, payload)
-    for hook in list(_APPEND_HOOKS):
-        hook(path, records)
 
 
 def load_jsonl(path: str) -> List[SweepRecord]:
     """All valid records of the JSONL result store at ``path``.
 
-    Corrupt or truncated lines (interrupted appends, partial writes) are
-    skipped with a warning rather than poisoning every consumer of the store
-    with half-parsed records.
+    Lines end at ``\\n`` only, as :class:`repro.serve.ResultStore` reads
+    them.  Corrupt, truncated or non-UTF-8 lines (interrupted appends,
+    partial writes) are skipped with a warning rather than poisoning every
+    consumer of the store with half-parsed records.
     """
     records: List[SweepRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(SweepRecord.from_json(line))
-            except (ValueError, TypeError) as exc:
+                records.append(SweepRecord.from_json(line.decode("utf-8")))
+            except ValueError as exc:
                 warnings.warn(f"{path}:{lineno}: skipping bad sweep record "
                               f"({exc})", stacklevel=2)
     return records

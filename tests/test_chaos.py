@@ -638,7 +638,7 @@ class TestStoreResilienceTwoProcess:
         store_path = str(tmp_path / "results.jsonl")
         # The child writer's appends fail probabilistically — flat ENOSPC
         # and torn half-lines both — while this process reads the store
-        # (with its *own* sidecar-write faults) mid-stream.
+        # mid-stream.
         child_plan = FaultPlan(seed=13, specs=(
             FaultSpec(kind="enospc", match="results.jsonl",
                       probability=0.2, times=-1),
@@ -651,12 +651,6 @@ class TestStoreResilienceTwoProcess:
                 src=SRC, count=self.N_RECORDS, store_path=store_path)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=env)
-        # This process: the sidecar index write fails (advisory — queries
-        # must keep working off the in-memory index).
-        install_plan(FaultPlan(specs=(
-            FaultSpec(kind="enospc", match=".idx.json", times=-1),)))
-        sidecar_errors_before = _counter(
-            "repro_store_sidecar_write_errors_total")
         store = ResultStore(store_path)
         try:
             while writer.poll() is None:
@@ -672,11 +666,8 @@ class TestStoreResilienceTwoProcess:
         assert committed, "the child committed nothing — plan too harsh?"
         assert len(committed) < self.N_RECORDS, \
             "no fault ever fired — plan too lax?"
-        assert _counter("repro_store_sidecar_write_errors_total") > \
-            sidecar_errors_before
-        # Every committed record survives both the torn tails around it and
-        # the sidecar outage; a fresh store converges on the same truth.
-        clear_plan()
+        # Every committed record survives the torn tails around it; a fresh
+        # store converges on the same truth.
         fresh = ResultStore(store_path)
         try:
             records, total = fresh.query(family="chaos",
@@ -718,7 +709,8 @@ class TestStoreFallback:
             assert store.latest("in-memory").scenario == "in-memory"
             entry = store.latest_entry("in-memory")
             assert entry is not None and entry.status == "ok"
-            assert "in-memory" in store.scenarios_seen()
+            assert "in-memory" in [r.scenario
+                                   for r in store.latest_per_scenario()]
         finally:
             store.close()
 

@@ -283,6 +283,12 @@ class TestMetrics:
         with pytest.raises(ValueError):
             reg.histogram("empty", buckets=())
 
+    def test_non_callable_callback_is_rejected(self):
+        reg = MetricsRegistry()
+        with pytest.raises(TypeError, match="callable"):
+            reg.gauge("bytes", fn=0)      # e.g. fn=obj.some_property
+        assert reg.value("bytes") is None
+
     def test_broken_callback_degrades_to_nan(self):
         reg = MetricsRegistry()
 

@@ -4,16 +4,21 @@ import asyncio
 import json
 import logging
 import os
+import tempfile
 import time
+import warnings
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
-from repro.obs import TRACER, load_span_log
+from repro.obs import REGISTRY, TRACER, load_span_log
 from repro.serve import (
     JobQueue,
     QueueFull,
     ReproApp,
+    Request,
     ResultStore,
     catalog_etag,
     catalog_payload,
@@ -44,6 +49,11 @@ def _record(scenario, family="test", status="ok", scenario_hash="h",
                        status=status, error="boom" if status == "error"
                        else None,
                        summary=dict(summary) if summary else None)
+
+
+def _scenarios(store):
+    """Every scenario name with a stored record, sorted."""
+    return [r.scenario for r in store.latest_per_scenario()]
 
 
 @pytest.fixture
@@ -145,21 +155,6 @@ class TestResultStore:
         assert [r.scenario for r in latest] == ["a", "b"]
         assert latest[0].summary == {"hosts": 2}
 
-    def test_sidecar_reused_without_reparsing_store(self, store_path):
-        append_jsonl(store_path, [_record(f"s{i:03d}") for i in range(50)])
-        first = ResultStore(store_path)
-        first.refresh()
-        first.close()
-        assert os.path.exists(index_path(store_path))
-        assert first.stats["records_parsed"] == 50      # the one-time build
-        second = ResultStore(store_path)
-        records, total = second.query(scenario="s007")
-        second.close()
-        assert total == 1 and records[0].scenario == "s007"
-        # Only the matching record was parsed; the index answered the rest.
-        assert second.stats["records_parsed"] == 1
-        assert second.stats["full_rebuilds"] == 0
-
     def test_tail_append_extends_index_incrementally(self, store, store_path):
         append_jsonl(store_path, [_record("a")])
         assert store.count() == 1
@@ -180,52 +175,32 @@ class TestResultStore:
         records, total = store.query(scenario="b")
         assert total == 1 and records[0].scenario == "b"
 
-    def test_corrupt_sidecar_rebuilds_transparently(self, store_path):
-        append_jsonl(store_path, [_record("a"), _record("b")])
-        sidecar = index_path(store_path)
-        first = ResultStore(store_path)
-        first.refresh()
-        first.close()
-        with open(sidecar, "w", encoding="utf-8") as handle:
-            handle.write('{"schema": 99, "nonsense": tru')
-        store = ResultStore(store_path)
-        assert store.count() == 2
-        assert store.stats["full_rebuilds"] == 1
-        store.close()
-
-    def test_replaced_smaller_store_triggers_rebuild(self, store_path):
+    def test_replaced_smaller_store_triggers_rebuild(self, store,
+                                                    store_path):
         append_jsonl(store_path, [_record("a"), _record("b"), _record("c")])
-        first = ResultStore(store_path)
-        first.refresh()
-        first.close()
+        assert store.count() == 3
         os.unlink(store_path)
         append_jsonl(store_path, [_record("z")])
-        store = ResultStore(store_path)
-        assert store.scenarios_seen() == ["z"]
-        store.close()
+        assert _scenarios(store) == ["z"]
+        assert store.stats["full_rebuilds"] == 2
 
-    def test_same_size_out_of_band_replacement_recovers(self, store_path):
+    def test_same_size_out_of_band_replacement_recovers(self, store,
+                                                        store_path):
         # A replaced store that did NOT shrink defeats the size check: the
-        # adopted sidecar's byte spans point mid-record.  The first query
-        # that fetches through them must rebuild and answer correctly
-        # instead of erroring.
+        # index's byte spans point mid-record.  The first query that
+        # fetches through them must rebuild and answer correctly instead
+        # of erroring.
         append_jsonl(store_path, [_record("aaaa"), _record("bbbb")])
-        first = ResultStore(store_path)
-        first.refresh()
-        first.close()
+        assert store.count() == 2
         os.unlink(store_path)
         append_jsonl(store_path, [
             _record("replacement", payload="x" * 400),
             _record("tail"),
         ])
-        store = ResultStore(store_path)
-        try:
-            records, total = store.query(scenario="aaaa")
-            assert total == 0 and records == []
-            assert store.stats["full_rebuilds"] >= 1
-            assert store.scenarios_seen() == ["replacement", "tail"]
-        finally:
-            store.close()
+        records, total = store.query(scenario="aaaa")
+        assert total == 0 and records == []
+        assert store.stats["full_rebuilds"] == 2
+        assert _scenarios(store) == ["replacement", "tail"]
 
     def test_corrupt_store_lines_invisible_to_queries(self, store,
                                                       store_path):
@@ -234,7 +209,7 @@ class TestResultStore:
             handle.write(b'{"scenario": "trunca\n[1, 2]\n')
         append_jsonl(store_path, [_record("b")])
         assert store.count() == 2
-        assert store.scenarios_seen() == ["a", "b"]
+        assert _scenarios(store) == ["a", "b"]
 
     def test_partial_trailing_line_indexed_once_complete(self, store,
                                                          store_path):
@@ -246,7 +221,7 @@ class TestResultStore:
         with open(store_path, "ab") as handle:
             handle.write((half[10:] + "\n").encode())
         assert store.count() == 2
-        assert store.scenarios_seen() == ["a", "b"]
+        assert _scenarios(store) == ["a", "b"]
 
     def test_state_token_tracks_appends(self, store, store_path):
         before = store.state_token()
@@ -258,6 +233,103 @@ class TestResultStore:
         assert store.count() == 0
         assert store.query() == ([], 0)
         assert store.latest_per_scenario() == []
+
+    def test_stray_whitespace_byte_does_not_fail_fetches(self, tmp_path):
+        # Regression: the scan indexed the stripped line (bytes.strip()
+        # also drops \x0b and \x0c) while fetches parsed the raw span,
+        # which json rejects: every query that read a record answered 500.
+        store_file = default_store_path(str(tmp_path))
+        with open(store_file, "wb") as handle:
+            handle.write(_record("a", hosts=1).to_json().encode()
+                         + b"\x0c\n")
+            handle.write(_record("b").to_json().encode() + b"\x0b\n")
+        expected = [asdict(r) for r in load_jsonl(store_file)]
+        assert [r["scenario"] for r in expected] == ["a", "b"]
+        responses = _handle(str(tmp_path), ("/results", {}),
+                            ("/results/a/latest", {}),
+                            ("/results", {"latest": "1"}))
+        assert [r.status for r in responses] == [200, 200, 200]
+        assert json.loads(responses[0].body)["records"] == expected
+        assert json.loads(responses[1].body) == expected[0]
+        assert json.loads(responses[2].body)["records"] == expected
+
+
+def _handle(cache_dir, *targets):
+    """GET each ``(path, query)`` through an in-process ``ReproApp``."""
+    async def run():
+        app = ReproApp(cache_dir=cache_dir)
+        try:
+            return [await app.handle(Request(method="GET", path=path,
+                                             query=query))
+                    for path, query in targets]
+        finally:
+            await app.close()
+    return asyncio.run(run())
+
+
+# ---------------------------------------------------------------------------
+# the store boundary under arbitrary bytes
+
+_SCENARIOS = ("a", "b", "c")
+_RECORD_LINE = st.builds(
+    lambda scenario, family, status, n: (_record(
+        scenario, family=family, status=status, n=n).to_json() + "\n"
+    ).encode(),
+    st.sampled_from(_SCENARIOS), st.sampled_from(("f1", "f2")),
+    st.sampled_from(("ok", "error", "failed")), st.integers(0, 9))
+_FRAGMENT = st.one_of(
+    _RECORD_LINE,
+    _RECORD_LINE.map(lambda line: line[:-1] + b"\x0c\n"),
+    _RECORD_LINE.flatmap(lambda line: st.integers(1, len(line) - 1).map(
+        lambda cut: line[:cut])),                  # truncated record
+    st.binary(max_size=8),
+    st.sampled_from((
+        b"\n", b"\r", b"\x0b", b"\x0c", b" ", b"\x80", b"\xff\xfe\n",
+        b"[1, 2]\n", b'"a"\n', b"null\n", b"3\n", b"{}\n",
+        b"[" * 5000 + b"\n",                        # nests too deeply
+        '{"scenario": "\u00e9", "family": "f1", "scenario_hash": "h", '
+        '"code_version": "c"}\n'.encode(),          # raw UTF-8
+    )),
+)
+
+
+def _answers(store):
+    """Everything the results API can ask of a store."""
+    out = [store.count(), store.query(), store.latest_per_scenario(),
+           store.query(newest_first=True, offset=1, limit=2),
+           store.latest_per_scenario(family="f1", status="ok")]
+    for name in _SCENARIOS + ("\u00e9", "missing"):
+        entry = store.latest_entry(name)
+        out += [store.query(scenario=name), store.latest(name),
+                store.latest(name, status="ok"),
+                entry and (entry.scenario, entry.family, entry.status)]
+    return out
+
+
+class TestStoreFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(fragments=st.lists(_FRAGMENT, max_size=12), data=st.data())
+    def test_live_store_answers_any_bytes_like_a_fresh_one(self, fragments,
+                                                           data):
+        blob = b"".join(fragments)
+        cut = data.draw(st.integers(0, len(blob)))
+        complete = blob[:blob.rfind(b"\n") + 1]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "results.jsonl")
+            with open(path, "wb") as handle:
+                handle.write(blob[:cut])
+            live = ResultStore(path)
+            live.count()                    # index the prefix
+            with open(path, "ab") as handle:
+                handle.write(blob[cut:])
+            assert _answers(live) == _answers(ResultStore(path))
+            oracle = os.path.join(tmp, "oracle.jsonl")
+            with open(oracle, "wb") as handle:
+                handle.write(complete)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                expected = load_jsonl(oracle)
+            assert live.query()[0] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +597,28 @@ class TestServeAPI:
         stored = load_jsonl(default_store_path(cache_dir))
         assert [r.scenario for r in stored] == ["star-hub-8", "star-hub-8"]
         assert stored[1].cached
+
+    def test_results_write_no_index_file(self, tmp_path):
+        store_file = default_store_path(str(tmp_path))
+        append_jsonl(store_file, [_record("a"), _record("b")])
+        response, = _handle(str(tmp_path), ("/results", {}))
+        assert response.status == 200
+        assert json.loads(response.body)["total"] == 2
+        assert not os.path.exists(index_path(store_file))
+        assert os.listdir(str(tmp_path)) == ["results.jsonl"]
+
+    def test_store_bytes_gauge_tracks_in_process_appends(self, tmp_path):
+        # Regression: the gauge was bound to a property's value, so every
+        # scrape exported NaN.
+        store_file = default_store_path(str(tmp_path))
+        app = ReproApp(cache_dir=str(tmp_path))
+        try:
+            assert REGISTRY.value("repro_store_bytes") == 0
+            append_jsonl(store_file, [_record("a")])
+            assert REGISTRY.value("repro_store_bytes") == \
+                os.path.getsize(store_file)
+        finally:
+            asyncio.run(app.close())
 
     def test_queue_full_yields_503(self, tmp_path):
         async def scenario(app, port):

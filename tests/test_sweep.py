@@ -289,10 +289,19 @@ class TestResultStore:
             handle.write('{"scenario": "y", "family": "f", '
                          '"scenario_hash": "h", "code_version": "c", '
                          '"elapsed_s": "fast"}\n')
+        tail = SweepRecord(scenario="b", family="f", scenario_hash="h",
+                           code_version="c")
+        with open(path, "ab") as handle:
+            handle.write(b"\x80\n")                   # not UTF-8
+            # A lone \r ends no line: this is one line, and not JSON.
+            handle.write(good.to_json().encode() + b"\r"
+                         + good.to_json().encode() + b"\n")
+            handle.write(b"[" * 100000 + b"\n")       # nests too deeply
+            handle.write(tail.to_json().encode() + b"\n")
         with pytest.warns(UserWarning, match="skipping bad sweep record"):
             loaded = load_jsonl(path)
-        assert loaded == [good]
-        assert [r["scenario"] for r in summary_rows(loaded)] == ["a"]
+        assert loaded == [good, tail]
+        assert [r["scenario"] for r in summary_rows(loaded)] == ["a", "b"]
 
     def test_summary_rows_tolerate_missing_summary(self):
         rows = summary_rows([
@@ -421,9 +430,10 @@ class TestHashSeedIndependence:
 
 
 class TestConcurrentStoreWriters:
-    """Two processes appending to one JSONL store (+ sidecar index) must
-    corrupt neither — the store writes are single O_APPEND syscalls and the
-    index is advisory, rebuilt from whatever the store holds."""
+    """Two processes appending to one JSONL store must not corrupt it —
+    the store writes are single O_APPEND syscalls — and a reader's
+    in-memory index, built from whatever the store holds, must only ever
+    see whole records."""
 
     N_PER_WRITER = 200
 
@@ -436,8 +446,6 @@ class TestConcurrentStoreWriters:
             "import sys\n"
             f"sys.path.insert(0, {src!r})\n"
             "from repro.sweep import SweepRecord, append_jsonl\n"
-            "from repro.serve import ResultStore\n"
-            f"store = ResultStore({store_path!r})\n"
             f"for i in range({self.N_PER_WRITER}):\n"
             f"    record = SweepRecord(scenario=f'{tag}-{{i:04d}}',\n"
             f"                         family={tag!r}, scenario_hash='h',\n"
@@ -464,8 +472,7 @@ class TestConcurrentStoreWriters:
             mine = [r for r in records if r.family == tag]
             assert [r.scenario for r in mine] == \
                 [f"{tag}-{i:04d}" for i in range(self.N_PER_WRITER)]
-        # The index — whatever racing state the writers left it in — serves
-        # the same view after a refresh.
+        # An index built after the race serves the same view.
         store = ResultStore(store_path)
         try:
             assert store.count() == 2 * self.N_PER_WRITER
