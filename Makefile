@@ -33,8 +33,7 @@ bench-figures:
 # Static AST invariant checks (repro.check): determinism of hash-critical
 # modules, Platform version-bump coverage, ioutils-only writes, async
 # safety under serve/, no silent excepts, clean pool boundaries.  Fails on
-# any finding that is neither noqa'd inline nor grandfathered in
-# check_baseline.json (refresh with `repro check --update-baseline`).
+# any finding not suppressed by an inline `# repro: noqa[RC00X]`.
 check:
 	$(REPRO) check
 

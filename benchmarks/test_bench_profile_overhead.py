@@ -60,7 +60,7 @@ def test_bench_profiling_overhead_at_100hz():
     print(f"\n[PROFILE] {scenario.name}: plain {plain_s:.3f}s, "
           f"profiled@{PROFILE_HZ}Hz {profiled_s:.3f}s -> "
           f"{overhead_pct:+.2f}% ({samples} samples, "
-          f"{len(stacks)} distinct stacks, {PROFILER.mode} backend)")
+          f"{len(stacks)} distinct stacks)")
     assert overhead_pct < MAX_PROFILED_OVERHEAD_PCT, (
         f"sampling at {PROFILE_HZ} Hz costs {overhead_pct:.2f}% on "
         f"{scenario.name} (budget: {MAX_PROFILED_OVERHEAD_PCT}%)")

@@ -4,12 +4,15 @@
 Starts the server as a real subprocess on an ephemeral port, then exercises
 the core loop a deployment depends on:
 
-1. ``GET /healthz`` answers ``ok``;
+1. ``GET /healthz`` answers ``ok``, also with ``X-Repro-Profile: 100``
+   (the SIGPROF profiler arms on the server's event loop, which must run
+   on its main thread);
 2. ``GET /scenarios`` lists the catalog with an ``ETag`` that revalidates
    (``304``);
 3. ``POST /runs`` for a smoke scenario completes and the run is visible in
    ``GET /results/.../latest``;
-4. ``GET /metrics`` reports the served requests, and the Prometheus text
+4. ``GET /metrics`` counts the served requests in
+   ``repro_http_responses_total``, and the Prometheus text
    exposition (``?format=prometheus``) parses sample by sample;
 5. the run's trace (``repro serve`` samples every request by default) is
    retrievable via ``GET /trace/{id}`` with the serve-side and pool-worker
@@ -104,6 +107,11 @@ def smoke(span_log):
         status, _, body = request(base, "/healthz")
         if status != 200 or json.loads(body)["status"] != "ok":
             fail(f"/healthz: {status} {body[:200]}")
+        status, _, body = request(base, "/healthz",
+                                  headers={"X-Repro-Profile": "100"})
+        if status != 200:
+            fail(f"profiled /healthz: {status} {body[:200]}")
+        print("smoke: /healthz ok, also profiled")
 
         status, headers, body = request(base, "/scenarios")
         catalog = json.loads(body)
@@ -144,8 +152,10 @@ def smoke(span_log):
             fail(f"/results/{SCENARIO}/latest: {status} {body[:200]}")
 
         status, _, body = request(base, "/metrics")
-        metrics = json.loads(body)
-        if status != 200 or metrics["requests"]["total"] < 5:
+        responses = json.loads(body)["metrics"].get(
+            "repro_http_responses_total", {"series": []})
+        if status != 200 or sum(series["value"] for series
+                                in responses["series"]) < 5:
             fail(f"/metrics: {status} {body[:300]}")
 
         status, headers, body = request(base, "/metrics?format=prometheus")

@@ -27,32 +27,24 @@ RC006     pool-boundary — pool dispatch takes module-level callables, never
 ========  ==================================================================
 
 Suppress one finding with an inline ``# repro: noqa[RC00X]`` on the flagged
-line; grandfather existing findings into a committed JSON baseline
-(``repro check --update-baseline``).  The CLI exits 1 on any finding that
-is neither suppressed nor baselined.
+line, with a one-line reason.  The CLI exits 1 on any finding left.
 """
 
 from .engine import (
     ALL_RULES,
-    BaselineStatus,
     CheckResult,
     Finding,
-    load_baseline,
     render_json,
     render_text,
     run_check,
-    write_baseline,
 )
 from . import rules as _rules        # noqa: F401  (registers ALL_RULES)
 
 __all__ = [
     "ALL_RULES",
-    "BaselineStatus",
     "CheckResult",
     "Finding",
-    "load_baseline",
     "render_json",
     "render_text",
     "run_check",
-    "write_baseline",
 ]

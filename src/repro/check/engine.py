@@ -1,15 +1,10 @@
-"""Engine for ``repro check``: file walker, rule registry, noqa, baseline.
+"""Engine for ``repro check``: file walker, rule registry, noqa, reporters.
 
 The engine is deliberately small and stdlib-only.  It parses every
 ``*.py`` file under a root once, hands each :class:`CheckedFile` to every
-applicable rule, collects :class:`Finding` objects, drops the ones
-suppressed by an inline ``# repro: noqa[RULE-ID]`` comment, and splits the
-rest into *new* vs *baselined* against a committed JSON baseline.
-
-Baseline keys are **line-independent** (``rule:path:message``) so that
-unrelated edits shifting a grandfathered finding up or down a file do not
-resurrect it; two identical findings in one file share a key and are
-grandfathered together, which is the right trade for a small codebase.
+applicable rule, collects :class:`Finding` objects and drops the ones
+suppressed by an inline ``# repro: noqa[RULE-ID]`` comment; every finding
+left fails the run.
 """
 
 from __future__ import annotations
@@ -23,23 +18,16 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..ioutils import write_atomic
-
 __all__ = [
     "ALL_RULES",
-    "BaselineStatus",
     "CheckResult",
     "CheckedFile",
     "Finding",
     "Rule",
-    "load_baseline",
     "render_json",
     "render_text",
     "run_check",
-    "write_baseline",
 ]
-
-BASELINE_VERSION = 1
 
 #: ``# repro: noqa`` (all rules) or ``# repro: noqa[RC001,RC003]`` (listed
 #: rules only), anywhere in a comment on the flagged line.
@@ -57,11 +45,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def key(self) -> str:
-        """Line-independent identity used for baseline matching."""
-        return f"{self.rule}:{self.path}:{self.message}"
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -120,28 +103,18 @@ class Rule:
 
 
 @dataclass
-class BaselineStatus:
-    """How the run's findings relate to the committed baseline."""
-
-    new: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    #: baseline keys that no longer match any finding (fixed or renamed)
-    stale: List[str] = field(default_factory=list)
-
-
-@dataclass
 class CheckResult:
     """Everything a reporter needs about one check run."""
 
     root: str
     files_checked: int
+    #: the findings no inline noqa suppressed, in source order
     findings: List[Finding]
     suppressed: int
-    status: BaselineStatus
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.status.new else 0
+        return 1 if self.findings else 0
 
 
 def _extract_noqa(source: str) -> Dict[int, Set[str]]:
@@ -206,13 +179,11 @@ def _load_file(abspath: str, rel: str) -> Tuple[Optional[CheckedFile],
 
 
 def run_check(root: str,
-              rules: Optional[Sequence[Rule]] = None,
-              baseline: Optional[Dict[str, object]] = None,
-              ) -> CheckResult:
+              rules: Optional[Sequence[Rule]] = None) -> CheckResult:
     """Run ``rules`` over every Python file under ``root``.
 
     ``root`` is typically the ``repro`` package directory; finding paths
-    are relative to it so baselines are machine-independent.
+    are relative to it so reports are machine-independent.
     """
     if rules is None:
         rules = ALL_RULES
@@ -236,91 +207,30 @@ def run_check(root: str,
                 else:
                     findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    status = _apply_baseline(findings, baseline)
     return CheckResult(root=root, files_checked=len(files),
-                       findings=findings, suppressed=suppressed,
-                       status=status)
-
-
-def _apply_baseline(findings: Sequence[Finding],
-                    baseline: Optional[Dict[str, object]]) -> BaselineStatus:
-    status = BaselineStatus()
-    keys: Set[str] = set()
-    if baseline:
-        for entry in baseline.get("findings", []):  # type: ignore[union-attr]
-            if isinstance(entry, dict):
-                keys.add("{rule}:{path}:{message}".format(**entry))
-    seen: Set[str] = set()
-    for finding in findings:
-        if finding.key in keys:
-            status.baselined.append(finding)
-            seen.add(finding.key)
-        else:
-            status.new.append(finding)
-    status.stale = sorted(keys - seen)
-    return status
-
-
-# ---------------------------------------------------------------- baseline IO
-
-def load_baseline(path: str) -> Optional[Dict[str, object]]:
-    """Load a baseline file; ``None`` when absent, ``ValueError`` on junk."""
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict) or "findings" not in data:
-        raise ValueError(f"malformed baseline file: {path}")
-    return data
-
-
-def write_baseline(path: str, findings: Sequence[Finding]) -> None:
-    """Persist findings as the new baseline (atomically, no timestamps)."""
-    entries = sorted(
-        ({"rule": f.rule, "path": f.path, "line": f.line,
-          "message": f.message} for f in findings),
-        key=lambda e: (e["path"], e["line"], e["rule"], e["message"]),
-    )
-    payload = {"version": BASELINE_VERSION, "findings": entries}
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                 suffix=".json")
+                       findings=findings, suppressed=suppressed)
 
 
 # ---------------------------------------------------------------- reporters
 
 def render_text(result: CheckResult) -> str:
-    lines: List[str] = []
-    for finding in result.status.new:
-        lines.append(f"{finding.path}:{finding.line}:{finding.col}: "
-                     f"{finding.rule} {finding.message}")
-    for finding in result.status.baselined:
-        lines.append(f"{finding.path}:{finding.line}:{finding.col}: "
-                     f"{finding.rule} {finding.message} [baselined]")
-    for key in result.status.stale:
-        lines.append(f"stale baseline entry (fixed? run --update-baseline): "
-                     f"{key}")
-    lines.append(
-        f"checked {result.files_checked} files: "
-        f"{len(result.status.new)} new, "
-        f"{len(result.status.baselined)} baselined, "
-        f"{result.suppressed} suppressed"
-        + (f", {len(result.status.stale)} stale baseline entries"
-           if result.status.stale else "")
-    )
+    lines = [f"{finding.path}:{finding.line}:{finding.col}: "
+             f"{finding.rule} {finding.message}"
+             for finding in result.findings]
+    lines.append(f"checked {result.files_checked} files: "
+                 f"{len(result.findings)} new, "
+                 f"{result.suppressed} suppressed")
     return "\n".join(lines)
 
 
 def render_json(result: CheckResult) -> str:
     payload = {
-        "version": BASELINE_VERSION,
+        "version": 1,
         "files_checked": result.files_checked,
-        "new": [f.to_json() for f in result.status.new],
-        "baselined": [f.to_json() for f in result.status.baselined],
+        "new": [f.to_json() for f in result.findings],
         "suppressed": result.suppressed,
-        "stale_baseline": list(result.status.stale),
         "counts": {
-            "new": len(result.status.new),
-            "baselined": len(result.status.baselined),
+            "new": len(result.findings),
             "suppressed": result.suppressed,
         },
     }

@@ -495,13 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--format", choices=("text", "json"),
                          default="text",
                          help="report format (default: text)")
-    p_check.add_argument("--baseline", default=None, metavar="FILE",
-                         help="baseline JSON of grandfathered findings "
-                              "(default: check_baseline.json at the repo "
-                              "root, if present)")
-    p_check.add_argument("--update-baseline", action="store_true",
-                         help="rewrite the baseline to grandfather every "
-                              "current finding, then exit 0")
     _add_observability_arguments(p_check)
     return parser
 
@@ -825,8 +818,7 @@ def _profile_flame(args: argparse.Namespace, scenario) -> int:
     elapsed = time.perf_counter() - start
     collapsed = capture.collapsed()
     print(f"profiled one {kind} of {scenario.name} in {elapsed:.3f}s: "
-          f"{capture.samples} samples at {args.hz} Hz "
-          f"({PROFILER.mode or 'signal'} backend)")
+          f"{capture.samples} samples at {args.hz} Hz")
     if args.flame_out:
         write_atomic(args.flame_out, collapsed)
         print(f"collapsed stacks written to {args.flame_out} "
@@ -1086,26 +1078,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .check import (load_baseline, render_json, render_text, run_check,
-                        write_baseline)
+    from .check import render_json, render_text, run_check
 
-    pkg_root = os.path.dirname(os.path.abspath(__file__))
-    root = args.root or pkg_root
-    baseline_path = args.baseline
-    if baseline_path is None:
-        # src/repro -> repo root in the development layout; simply absent
-        # (-> no baseline) for an installed package.
-        baseline_path = os.path.normpath(
-            os.path.join(pkg_root, os.pardir, os.pardir,
-                         "check_baseline.json"))
-    if args.update_baseline:
-        result = run_check(root)
-        write_baseline(baseline_path, result.findings)
-        print(f"baseline updated: {len(result.findings)} findings "
-              f"grandfathered into {baseline_path}")
-        return 0
-    baseline = load_baseline(baseline_path)
-    result = run_check(root, baseline=baseline)
+    result = run_check(args.root or os.path.dirname(os.path.abspath(__file__)))
     if args.format == "json":
         print(render_json(result))
     else:

@@ -48,13 +48,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import signal
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from . import ioutils
 from .obs.logs import get_logger, kv
@@ -77,6 +78,26 @@ _INJECTED = REGISTRY.counter(
     "repro_faults_injected_total",
     "faults injected by the active fault plan",
     labels=("site", "kind"))
+
+
+#: Longest ``hang`` a spec may ask for: far past the runners' default
+#: deadlines (600 s), and well inside what :func:`time.sleep` accepts.
+MAX_DELAY_S = 86400.0
+
+
+def _require(field_name: str, value: object,
+             kind: Union[type, Tuple[type, ...]],
+             low: float = -math.inf, high: float = math.inf) -> None:
+    """Reject a value that is not a ``kind`` (a ``bool`` never is) or not
+    in ``[low, high]`` (NaN never is)."""
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not low <= value <= high:
+        bounds = (f" in [{low:g}, {high:g}]"
+                  if math.isfinite(low) or math.isfinite(high) else "")
+        raise ValueError(
+            f"fault field {field_name!r} must be "
+            f"{'an integer' if kind is int else 'a number'}{bounds}, "
+            f"got {value!r}")
 
 
 class FaultInjected(RuntimeError):
@@ -111,10 +132,22 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in WORKER_KINDS + WRITE_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.times < -1:
-            raise ValueError("times must be >= -1")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
+        if not isinstance(self.match, str):
+            raise ValueError(f"fault field 'match' must be a string, "
+                             f"got {self.match!r}")
+        _require("times", self.times, int, -1)
+        if self.on_attempts is not None:
+            if not isinstance(self.on_attempts, tuple):
+                raise ValueError(f"fault field 'on_attempts' must be a list "
+                                 f"of integers, got {self.on_attempts!r}")
+            for attempt in self.on_attempts:
+                _require("on_attempts", attempt, int, 0)
+        _require("probability", self.probability, (int, float), 0.0, 1.0)
+        _require("delay_s", self.delay_s, (int, float), 0.0, MAX_DELAY_S)
+        _require("signum", self.signum, int)
+        if self.signum not in signal.valid_signals():
+            raise ValueError(f"fault field 'signum' must be a signal "
+                             f"number, got {self.signum!r}")
 
     @property
     def site(self) -> str:
@@ -146,15 +179,16 @@ class FaultSpec:
         if unknown:
             raise ValueError(f"unknown fault spec fields: {unknown}")
         on_attempts = data.get("on_attempts")
+        if isinstance(on_attempts, list):
+            on_attempts = tuple(on_attempts)
         return cls(
-            kind=str(data.get("kind", "")),
-            match=str(data.get("match", "")),
-            times=int(data.get("times", 1)),
-            on_attempts=(None if on_attempts is None
-                         else tuple(int(a) for a in on_attempts)),
-            probability=float(data.get("probability", 1.0)),
-            delay_s=float(data.get("delay_s", 30.0)),
-            signum=int(data.get("signum", int(signal.SIGKILL))))
+            kind=data.get("kind", ""),
+            match=data.get("match", ""),
+            times=data.get("times", 1),
+            on_attempts=on_attempts,
+            probability=data.get("probability", 1.0),
+            delay_s=data.get("delay_s", 30.0),
+            signum=data.get("signum", int(signal.SIGKILL)))
 
 
 @dataclass(frozen=True)
@@ -163,6 +197,9 @@ class FaultPlan:
 
     seed: int = 0
     specs: Tuple[FaultSpec, ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        _require("seed", self.seed, int)
 
     def to_json(self) -> str:
         return json.dumps({"seed": self.seed,
@@ -183,7 +220,7 @@ class FaultPlan:
         faults = data.get("faults", [])
         if not isinstance(faults, list):
             raise ValueError("fault plan field 'faults' must be a list")
-        return cls(seed=int(data.get("seed", 0)),
+        return cls(seed=data.get("seed", 0),
                    specs=tuple(FaultSpec.from_dict(s) for s in faults))
 
 

@@ -13,7 +13,7 @@ Three pillars, one import surface:
 On top of the raw telemetry, the analysis layer:
 
 * :data:`PROFILER` (:mod:`repro.obs.profile`) — a statistical sampling
-  profiler (``SIGPROF``/``setitimer`` with a thread-sampler fallback)
+  profiler (``SIGPROF``/``setitimer``, armed on a main thread only)
   emitting collapsed, flamegraph-compatible stacks.
 * :mod:`repro.obs.analyze` — per-op latency aggregation (p50/p95/p99,
   self vs child time), critical-path extraction, trace diffing.
@@ -24,8 +24,9 @@ And the runtime-telemetry layer (PR 10):
 
 * :data:`RUNTIME` (:mod:`repro.obs.runtime`) — process gauges read on
   demand (RSS/CPU/fds/peak RSS), a GC-pause watch and an event-loop lag
-  monitor, with a worker-side :func:`task_runtime` capture shipped home
-  in each pool task's result.  It runs no thread.
+  monitor, with a worker-side :func:`task_runtime` that records each pool
+  task's readings into the registry delta the task ships home.  It runs
+  no thread.
 * :class:`MetricsHistory` (:mod:`repro.obs.history`) — a bounded ring of
   registry snapshots with windowed rate/quantile derivation
   (``GET /metrics/history``); its thread is the only periodic telemetry

@@ -1,17 +1,14 @@
 """Statistical sampling profiler (stdlib-only, flamegraph-compatible).
 
 One process-wide :data:`PROFILER` answers the question spans cannot:
-*which frames* burn the time inside a slow span.  Two sampling backends
-share one aggregation pipeline:
-
-* **signal mode** — ``signal.setitimer(ITIMER_PROF)`` delivers ``SIGPROF``
-  every ``1/hz`` seconds of *CPU time*; the handler walks the interrupted
-  frame's ``f_back`` chain.  Zero threads, zero polling — but POSIX only
-  allows arming it from the main thread.
-* **thread mode** — a daemon sampler thread wakes every ``1/hz`` seconds
-  of *wall time* and snapshots the target thread's frame out of
-  :func:`sys._current_frames`.  The automatic fallback whenever signal
-  mode is unavailable (non-main thread, missing ``setitimer``).
+*which frames* burn the time inside a slow span.
+``signal.setitimer(ITIMER_PROF)`` delivers ``SIGPROF`` every ``1/hz``
+seconds of *CPU time*, and the handler walks the interrupted frame's
+``f_back`` chain: no thread, no polling.  Python installs signal handlers
+on the main thread only, so arming anywhere else — or where ``SIGPROF``
+or ``setitimer`` is missing — raises :class:`ProfilerError`.  Every arming
+site runs on a main thread: the CLI's ``--flame``, serve's event loop and
+a pool worker's task.
 
 Arming is **re-entrant**: nested :meth:`Profiler.profiled` scopes bump a
 depth counter, so an inner scope exiting never disarms an outer one.  The
@@ -31,9 +28,7 @@ process folds it back in with :meth:`Profiler.ingest`.
 from __future__ import annotations
 
 import signal
-import sys
 import threading
-import time
 from collections import Counter, deque
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -43,7 +38,7 @@ from .logs import get_logger, kv
 
 _LOG = get_logger("obs.profile")
 
-__all__ = ["Profiler", "PROFILER", "DEFAULT_HZ", "collapse"]
+__all__ = ["Profiler", "PROFILER", "ProfilerError", "DEFAULT_HZ", "collapse"]
 
 DEFAULT_HZ = 100
 #: Stack walks stop here: deeper frames almost always repeat recursion.
@@ -53,6 +48,11 @@ MAX_STACK_DEPTH = 64
 MIN_HZ, MAX_HZ = 1, 1000
 
 _Stack = Tuple[str, ...]
+
+
+class ProfilerError(RuntimeError):
+    """The profiler cannot arm here: off the main thread, or no
+    ``SIGPROF``/``setitimer`` on this platform."""
 
 
 def _frame_label(frame) -> str:
@@ -145,12 +145,8 @@ class Profiler:
         self._stacks: "Counter[_Stack]" = Counter()
         self._captures: List[_ProfileCapture] = []
         self._arm_depth = 0
-        self._generation = 0
-        self._stop_event: Optional[threading.Event] = None
-        self._sampler: Optional[threading.Thread] = None
         self._old_handler = None
         self.hz = self._clamp_hz(hz)
-        self.mode: Optional[str] = None
         self.sample_errors = 0
         self._ingested = 0
 
@@ -164,7 +160,7 @@ class Profiler:
             with self._lock:
                 self.hz = self._clamp_hz(hz)
 
-    # -- sampling backends ---------------------------------------------------
+    # -- sampling ------------------------------------------------------------
 
     def _on_sigprof(self, signum, frame) -> None:
         try:
@@ -176,119 +172,68 @@ class Profiler:
         except Exception:
             self.sample_errors += 1
 
-    def _sampler_loop(self, generation: int, target_id: int,
-                      interval: float, stop: threading.Event) -> None:
-        while not stop.wait(interval):
-            with self._lock:
-                if generation != self._generation:
-                    return
-            try:
-                frame = sys._current_frames().get(target_id)
-            except Exception:
-                self.sample_errors += 1
-                continue
-            # A vanished target (thread exited, worker tearing down) is
-            # not an error — keep polling until disarmed.
-            if frame is not None:
-                stack = _stack_of(frame)
-                if stack and not stack[-1].startswith(__name__):
-                    self._pending.append(stack)
-
-    def _try_arm_signal(self, interval: float) -> bool:
-        if not hasattr(signal, "setitimer") or not hasattr(signal, "SIGPROF"):
-            return False
-        try:
-            # Raises ValueError off the main thread — the documented cue
-            # to fall back to the thread sampler.
-            self._old_handler = signal.signal(signal.SIGPROF,
-                                              self._on_sigprof)
-            signal.setitimer(signal.ITIMER_PROF, interval, interval)
-        except (ValueError, OSError):
-            return False
-        return True
-
-    def _arm_thread(self, interval: float) -> None:
-        stop = threading.Event()
-        sampler = threading.Thread(
-            target=self._sampler_loop,
-            args=(self._generation, threading.get_ident(), interval, stop),
-            name="repro-obs-sampler", daemon=True)
-        self._stop_event = stop
-        self._sampler = sampler
-        sampler.start()
-
     # -- arming --------------------------------------------------------------
 
-    def arm(self, hz: Optional[int] = None, mode: Optional[str] = None) -> str:
-        """Start sampling (re-entrant); returns the active mode.
+    def arm(self, hz: Optional[int] = None) -> None:
+        """Start sampling (re-entrant).
 
-        The first arm picks the backend — ``signal`` where possible,
-        ``thread`` otherwise (or when forced via ``mode="thread"``) — and
-        later nested arms only bump the depth counter: their ``hz``/
-        ``mode`` preferences are ignored and their disarm never stops the
-        outer scope's sampling.
+        The first arm installs the ``SIGPROF`` handler and starts the
+        timer; later nested arms only bump the depth counter: their ``hz``
+        is ignored and their disarm never stops the outer scope's
+        sampling.  Raises :class:`ProfilerError` off the main thread or
+        without ``SIGPROF``/``setitimer``, leaving the arm depth and the
+        ``SIGPROF`` handler as they were.
         """
         with self._lock:
+            if threading.current_thread() is not threading.main_thread() \
+                    or not hasattr(signal, "setitimer") \
+                    or not hasattr(signal, "SIGPROF"):
+                raise ProfilerError("the sampling profiler arms only on the "
+                                    "main thread, with SIGPROF and setitimer")
             if self._arm_depth > 0:
                 self._arm_depth += 1
-                return self.mode or "thread"
+                return
             if hz is not None:
                 self.hz = self._clamp_hz(hz)
             interval = 1.0 / self.hz
-            self._generation += 1
-            if mode != "thread" and self._try_arm_signal(interval):
-                self.mode = "signal"
-            else:
-                self._arm_thread(interval)
-                self.mode = "thread"
+            self._old_handler = signal.signal(signal.SIGPROF,
+                                              self._on_sigprof)
+            signal.setitimer(signal.ITIMER_PROF, interval, interval)
             self._arm_depth = 1
-            return self.mode
 
     def disarm(self) -> None:
         """Undo one :meth:`arm`; sampling stops when the depth hits zero."""
-        sampler = None
         with self._lock:
             if self._arm_depth == 0:
                 return
             self._arm_depth -= 1
             if self._arm_depth > 0:
                 return
-            self._generation += 1
-            if self.mode == "signal":
-                try:
-                    signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
-                    if self._old_handler is not None:
-                        signal.signal(signal.SIGPROF, self._old_handler)
-                except (ValueError, OSError) as exc:
-                    # Disarm raced interpreter teardown or a non-main
-                    # thread; the itimer dies with the process either way.
-                    _LOG.debug("event=profiler_disarm_failed %s",
-                               kv(error=type(exc).__name__))
-                self._old_handler = None
-            elif self._stop_event is not None:
-                self._stop_event.set()
-                sampler = self._sampler
-                self._stop_event = None
-                self._sampler = None
-            self.mode = None
+            try:
+                signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+                if self._old_handler is not None:
+                    signal.signal(signal.SIGPROF, self._old_handler)
+            except (ValueError, OSError) as exc:
+                # Disarm raced interpreter teardown or a non-main thread;
+                # the itimer dies with the process either way.
+                _LOG.debug("event=profiler_disarm_failed %s",
+                           kv(error=type(exc).__name__))
+            self._old_handler = None
             self._drain_locked()
-        if sampler is not None:
-            sampler.join(timeout=1.0)
 
     @property
     def armed(self) -> bool:
         return self._arm_depth > 0
 
     @contextmanager
-    def profiled(self, hz: Optional[int] = None,
-                 mode: Optional[str] = None) -> Iterator[_ProfileCapture]:
+    def profiled(self, hz: Optional[int] = None) -> Iterator[_ProfileCapture]:
         """Sample for the duration of the scope, collecting its stacks.
 
         Nesting is safe (see :meth:`arm`); each scope's capture sees only
         the samples recorded while it was active.
         """
         capture = _ProfileCapture()
-        self.arm(hz=hz, mode=mode)
+        self.arm(hz=hz)
         with self._lock:
             self._drain_locked()          # earlier samples are not ours
             self._captures.append(capture)
@@ -300,8 +245,7 @@ class Profiler:
                 self._captures.remove(capture)
             self.disarm()
 
-    def maybe(self, enabled: bool, hz: Optional[int] = None,
-              mode: Optional[str] = None):
+    def maybe(self, enabled: bool, hz: Optional[int] = None):
         """:meth:`profiled` when ``enabled``, else the shared no-op scope.
 
         The per-task / per-request hook: callers wrap the work
@@ -309,7 +253,7 @@ class Profiler:
         """
         if not enabled:
             return _NULL_PROFILE
-        return self.profiled(hz=hz, mode=mode)
+        return self.profiled(hz=hz)
 
     # -- aggregation ---------------------------------------------------------
 

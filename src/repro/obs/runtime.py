@@ -23,10 +23,10 @@ process at that instant.
   queueing behind something.
 
 Pool workers run the same readings in miniature: :func:`task_runtime`
-reads one task's CPU / GC deltas and the worker's peak RSS at task end,
-the payload rides home in the :class:`~repro.sweep.runner.TaskResult`,
-and :meth:`RuntimeSampler.ingest` folds it into ``repro_worker_*`` series
-on the parent.
+records one task's CPU seconds and GC collections, and the worker's peak
+RSS at task end, into stored ``repro_worker_*`` series.  The pool task
+wraps it in its registry ``stored()``…``delta()`` window, so the readings
+ride home in the task's registry delta like every other worker series.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from .logs import get_logger, kv
 from .metrics import REGISTRY, MetricsRegistry
@@ -47,6 +47,8 @@ __all__ = ["RuntimeSampler", "RUNTIME", "task_runtime", "rss_bytes",
            "peak_rss_bytes", "cpu_seconds", "open_fds"]
 
 _GC_GENERATIONS = (0, 1, 2)
+#: Buckets of the per-task peak RSS histogram: powers of two, 32 MiB-4 GiB.
+_PEAK_RSS_BUCKETS = tuple(float(1 << shift) for shift in range(25, 33))
 
 
 # ---------------------------------------------------------------------------
@@ -232,38 +234,6 @@ class RuntimeSampler:
             handle.cancel()            # a no-op once the loop has closed
         self.loop_lag_s = 0.0
 
-    # -- worker ingest -------------------------------------------------------
-
-    def ingest(self, payload: Optional[Dict[str, object]]) -> bool:
-        """Fold one worker :func:`task_runtime` payload into the parent's
-        ``repro_worker_*`` series; returns whether anything was added."""
-        if not payload or not isinstance(payload, dict):
-            return False
-        reg = self._registry
-        peak = payload.get("peak_rss_bytes")
-        if isinstance(peak, (int, float)) and peak > 0:
-            gauge = reg.gauge("repro_worker_peak_rss_bytes",
-                              "Highest task peak RSS shipped home by any "
-                              "pool worker.")
-            current = reg.value("repro_worker_peak_rss_bytes") or 0.0
-            if peak > current:
-                gauge.set(float(peak))
-        cpu = payload.get("cpu_s")
-        if isinstance(cpu, (int, float)) and cpu >= 0:
-            reg.counter("repro_worker_cpu_seconds_total",
-                        "CPU seconds burned inside pool worker tasks."
-                        ).inc(float(cpu))
-        collections = payload.get("gc_collections")
-        if isinstance(collections, dict):
-            metric = reg.counter(
-                "repro_worker_gc_collections_total",
-                "GC collections inside pool worker tasks, per generation.",
-                labels=("generation",))
-            for generation, count in collections.items():
-                if isinstance(count, int) and count > 0:
-                    metric.labels(generation=str(generation)).inc(count)
-        return True
-
     def state(self) -> Dict[str, object]:
         """The process read now, JSON-safe (flight-bundle material)."""
         watch = self.gc_watch
@@ -285,23 +255,33 @@ class RuntimeSampler:
 
 
 @contextmanager
-def task_runtime() -> Iterator[Dict[str, object]]:
-    """Wrap one pool task; the yielded payload is filled in at exit with
-    its CPU / GC deltas and the worker's peak RSS, ready to ship home
-    (the runtime twin of ``PROFILER.maybe`` / ``TRACER.capture``)."""
+def task_runtime() -> Iterator[None]:
+    """Wrap one pool task; at exit, record its CPU seconds and GC
+    collections and the worker's peak RSS into stored ``repro_worker_*``
+    series of :data:`~repro.obs.metrics.REGISTRY` (the runtime twin of
+    ``PROFILER.maybe`` / ``TRACER.capture``)."""
     cpu_start = cpu_seconds()
     gc_start = [stats.get("collections", 0) for stats in gc.get_stats()]
-    payload: Dict[str, object] = {"pid": os.getpid()}
     try:
-        yield payload
+        yield
     finally:
-        payload["peak_rss_bytes"] = peak_rss_bytes()
-        payload["cpu_s"] = max(0.0, cpu_seconds() - cpu_start)
-        payload["gc_collections"] = {
-            str(generation): stats.get("collections", 0) - before
-            for generation, (before, stats)
-            in enumerate(zip(gc_start, gc.get_stats()))
-            if stats.get("collections", 0) > before}
+        REGISTRY.histogram(
+            "repro_worker_peak_rss_bytes",
+            "Pool worker peak RSS (ru_maxrss) at the end of each task.",
+            buckets=_PEAK_RSS_BUCKETS).observe(peak_rss_bytes())
+        REGISTRY.counter(
+            "repro_worker_cpu_seconds_total",
+            "CPU seconds burned inside pool worker tasks."
+        ).inc(max(0.0, cpu_seconds() - cpu_start))
+        collections = REGISTRY.counter(
+            "repro_worker_gc_collections_total",
+            "GC collections inside pool worker tasks, per generation.",
+            labels=("generation",))
+        for generation, (before, stats) in enumerate(
+                zip(gc_start, gc.get_stats())):
+            count = stats.get("collections", 0) - before
+            if count > 0:
+                collections.labels(generation=str(generation)).inc(count)
 
 
 #: The process-wide hooks.  The gauges are callback-backed and always

@@ -23,11 +23,12 @@ Endpoints (all JSON):
 ``GET /runs`` / ``GET /runs/{id}`` / ``POST /runs/{id}/cancel``
     Job listing, status polling, cancellation.
 ``GET /metrics``
-    :mod:`repro.perf` hot-path counters plus request/response-cache/store
-    statistics, and the :mod:`repro.obs` metric registry (histograms,
-    gauges, counters).  ``?format=prometheus`` — or a scraper's
-    ``Accept: text/plain`` / OpenMetrics header — switches to Prometheus
-    text exposition.
+    The :mod:`repro.obs` metric registry under ``metrics`` (histograms,
+    gauges, counters: the :mod:`repro.perf` work counters, the requests
+    per route and status class), plus the response-cache, store, job and
+    tracing statistics that are not registry series.
+    ``?format=prometheus`` — or a scraper's ``Accept: text/plain`` /
+    OpenMetrics header — switches to Prometheus text exposition.
 ``GET /trace/{trace_id}``
     Every buffered span of one trace (see ``X-Repro-Trace-Id``), ordered
     by start time.  Pool-worker spans appear once their job's result has
@@ -37,9 +38,10 @@ Endpoints (all JSON):
     (``flamegraph.pl``-ready ``text/plain``; ``?format=json`` for the raw
     ``{stack: count}`` map).  Profiles arrive via the ``X-Repro-Profile``
     request header — on any request it samples the serving process for
-    the request's duration; on ``POST /runs`` it additionally arms the
-    *pool worker* for the job, whose stacks ship home over the result
-    channel.  A numeric header value picks the sampling rate in Hz.
+    the request's duration (``SIGPROF``: the event loop runs on the main
+    thread); on ``POST /runs`` it additionally arms the *pool worker* for
+    the job, whose stacks ship home over the result channel.  A numeric
+    header value picks the sampling rate in Hz.
 ``GET /analyze/ops``
     Per-op latency aggregates (count, errors, total/self time,
     p50/p95/p99/max) over the span ring buffer.
@@ -81,7 +83,6 @@ import time
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from .. import perf
 from ..obs.analyze import aggregate_ops, critical_path
 from ..obs.flightrec import FLIGHT
 from ..obs.history import DEFAULT_WINDOW_S, MetricsHistory
@@ -265,8 +266,6 @@ class ReproApp:
         # Uptime is a duration: derive it from the monotonic clock so an
         # NTP step can't make /healthz report a negative (or huge) uptime.
         self._started_mono = time.monotonic()
-        self.requests_total = 0
-        self.responses_by_status: Dict[int, int] = {}
         # Callback gauges over this app's live state.  gauge() re-binds the
         # callback on re-registration, so the newest app instance (tests
         # build many per process) owns the exported series.
@@ -372,7 +371,6 @@ class ReproApp:
 
     async def handle(self, request: Request) -> Response:
         """Dispatch one request (the :func:`serve_http` handler)."""
-        self.requests_total += 1
         t0 = time.perf_counter()
         profile_hz = _profile_hz(request)
         with TRACER.start_trace(
@@ -400,8 +398,6 @@ class ReproApp:
         _REQUEST_SECONDS.labels(
             route=_route_label(request.path)).observe(duration_s)
         _RESPONSES_TOTAL.labels(code=f"{response.status // 100}xx").inc()
-        self.responses_by_status[response.status] = \
-            self.responses_by_status.get(response.status, 0) + 1
         _LOG.info("event=access %s", kv(
             method=request.method, path=request.path,
             status=response.status, bytes=len(response.body),
@@ -507,12 +503,6 @@ class ReproApp:
                 body=REGISTRY.render_prometheus().encode("utf-8"),
                 content_type="text/plain; version=0.0.4; charset=utf-8")
         return json_response({
-            "perf_counters": perf.counters_snapshot(),
-            "requests": {
-                "total": self.requests_total,
-                "by_status": {str(k): v for k, v in
-                              sorted(self.responses_by_status.items())},
-            },
             "response_cache": {
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,
@@ -756,7 +746,6 @@ class ReproApp:
                 return json_response({
                     "samples": sum(stacks.values()),
                     "armed": PROFILER.armed,
-                    "mode": PROFILER.mode,
                     "hz": PROFILER.hz,
                     "stacks": stacks,
                 }).body

@@ -141,7 +141,10 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         if not sep:
             raise HTTPError(400, f"malformed header line: {raw!r}")
         headers[name.strip().lower()] = value.strip()
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:              # e.g. an unclosed IPv6 bracket
+        raise HTTPError(400, f"malformed request target: {exc}")
     query = {key: value for key, value in parse_qsl(split.query,
                                                     keep_blank_values=True)}
     body = b""

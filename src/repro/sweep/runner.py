@@ -51,7 +51,7 @@ from ..ioutils import write_atomic
 from ..obs.logs import get_logger, kv
 from ..obs.metrics import REGISTRY
 from ..obs.profile import PROFILER
-from ..obs.runtime import RUNTIME, task_runtime
+from ..obs.runtime import task_runtime
 from ..obs.trace import TRACER
 from ..perf import fast_path_enabled, set_fast_path
 from ..pipeline import run_pipeline
@@ -279,19 +279,18 @@ def _run_task(args: Tuple[Scenario, float, Tuple[str, ...], TaskContext]
 @dataclass
 class TaskResult:
     """Everything one pool task ships home: the worker's registry, span
-    ring, profiler and runtime readings are per-process, so its work stays
-    invisible to the submitter until :func:`fold_task_result` folds it in.
+    ring and profiler are per-process, so its work stays invisible to the
+    submitter until :func:`fold_task_result` folds it in.
     """
 
     record: SweepRecord
-    #: Stored counter/histogram growth (``MetricsRegistry.delta``).
+    #: Stored counter/histogram growth (``MetricsRegistry.delta``),
+    #: the task's ``repro_worker_*`` runtime readings included.
     metrics: List[Tuple]
     #: The task's spans, stamped with the worker's ``pid``.
     spans: List[Dict[str, object]]
     #: Collapsed stacks when ``TaskContext.profile_hz`` was set.
     profile: Optional[Dict[str, object]]
-    #: :func:`repro.obs.runtime.task_runtime` payload (peak RSS, CPU, GC).
-    runtime: Dict[str, object]
 
 
 def _pool_task(args: Tuple[Scenario, float, Tuple[str, ...], TaskContext]
@@ -306,8 +305,7 @@ def _pool_task(args: Tuple[Scenario, float, Tuple[str, ...], TaskContext]
         _worker_pickups.send_bytes(_PICKUP.pack(os.getpid(),
                                                 context.dispatch_id))
     base = REGISTRY.stored()
-    with TRACER.capture() as captured, \
-            task_runtime() as runtime, \
+    with TRACER.capture() as captured, task_runtime(), \
             PROFILER.maybe(bool(context.profile_hz),
                            hz=context.profile_hz) as profile:
         record = _run_task(args)
@@ -315,18 +313,18 @@ def _pool_task(args: Tuple[Scenario, float, Tuple[str, ...], TaskContext]
     for span in captured.spans:
         span.setdefault("attrs", {}).setdefault("pid", pid)
     return TaskResult(record, REGISTRY.delta(base), captured.spans,
-                      profile.as_payload(), runtime)
+                      profile.as_payload())
 
 
 def fold_task_result(result: TaskResult) -> Optional[int]:
-    """Fold a pool task's telemetry into this process: the registry delta,
-    the spans (ring buffer and span log — the only way worker spans reach
-    the log), the ``repro_worker_*`` runtime series and any profile.
-    Returns the profile samples added, ``None`` for an unprofiled task.
+    """Fold a pool task's telemetry into this process: the registry delta
+    (the ``repro_worker_*`` runtime series included), the spans (ring
+    buffer and span log — the only way worker spans reach the log) and
+    any profile.  Returns the profile samples added, ``None`` for an
+    unprofiled task.
     """
     REGISTRY.merge(result.metrics)
     TRACER.ingest(result.spans)
-    RUNTIME.ingest(result.runtime)
     if result.profile is None:
         return None
     return PROFILER.ingest(result.profile)

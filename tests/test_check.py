@@ -1,4 +1,4 @@
-"""Tests of ``repro.check``: the engine, each rule, noqa, baseline, CLI."""
+"""Tests of ``repro.check``: the engine, each rule, noqa, reporters, CLI."""
 
 import ast
 import json
@@ -6,13 +6,7 @@ import os
 
 import pytest
 
-from repro.check import (
-    load_baseline,
-    render_json,
-    render_text,
-    run_check,
-    write_baseline,
-)
+from repro.check import render_json, render_text, run_check
 from repro.check.engine import CheckedFile, _extract_noqa
 from repro.check.rules import VersionBumpRule
 from repro.cli import main
@@ -121,50 +115,11 @@ class TestNoqa:
         assert list(noqa) == [2]
 
 
-class TestBaseline:
-    def test_round_trip_marks_old_findings_baselined(self, tmp_path):
-        first = run_check(FIXTURES)
-        assert first.status.new and not first.status.baselined
-        path = str(tmp_path / "baseline.json")
-        write_baseline(path, first.findings)
-        again = run_check(FIXTURES, baseline=load_baseline(path))
-        assert not again.status.new
-        assert len(again.status.baselined) == len(first.findings)
-        assert again.exit_code == 0
-
-    def test_baseline_keys_survive_line_shifts(self, tmp_path):
-        first = run_check(FIXTURES)
-        path = str(tmp_path / "baseline.json")
-        write_baseline(path, first.findings)
-        baseline = load_baseline(path)
-        for entry in baseline["findings"]:
-            entry["line"] = entry["line"] + 100   # unrelated edits moved it
-        assert not run_check(FIXTURES, baseline=baseline).status.new
-
-    def test_stale_entries_reported_but_not_fatal(self, tmp_path):
-        first = run_check(FIXTURES)
-        path = str(tmp_path / "baseline.json")
-        write_baseline(path, first.findings)
-        baseline = load_baseline(path)
-        baseline["findings"].append({"rule": "RC001", "path": "gone.py",
-                                     "line": 1, "message": "fixed long ago"})
-        result = run_check(FIXTURES, baseline=baseline)
-        assert result.exit_code == 0
-        assert result.status.stale == ["RC001:gone.py:fixed long ago"]
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"nope": 1}))   # repro: noqa[RC003]
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
-
-
 class TestReporters:
     def test_json_schema(self, fixture_result):
         payload = json.loads(render_json(fixture_result))
         assert set(payload) == {"version", "files_checked", "new",
-                                "baselined", "suppressed", "stale_baseline",
-                                "counts"}
+                                "suppressed", "counts"}
         assert payload["counts"]["new"] == len(payload["new"])
         for finding in payload["new"]:
             assert set(finding) == {"rule", "path", "line", "col", "message"}
@@ -181,13 +136,13 @@ class TestReporters:
         (tmp_path / "broken.py").write_text("def nope(:\n")  # repro: noqa[RC003]
         result = run_check(str(tmp_path))
         assert [f.rule for f in result.findings] == ["RC000"]
-        assert result.status.new
+        assert result.exit_code == 1
 
 
 class TestRepoIsClean:
     def test_source_tree_passes_all_rules(self):
         result = run_check(SRC_ROOT)
-        assert result.status.new == [], render_text(result)
+        assert result.findings == [], render_text(result)
 
     def test_rc002_catches_reverted_hub_bump(self):
         """Deleting set_hub_bandwidth's version bump must trip RC002."""
@@ -207,18 +162,14 @@ class TestRepoIsClean:
 
 
 class TestCLI:
-    def test_check_command_exit_codes_and_update(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        args = ["check", "--root", FIXTURES, "--baseline", baseline]
-        assert main(args) == 1                     # findings, no baseline
-        assert main(args + ["--update-baseline"]) == 0
-        assert os.path.exists(baseline)
-        assert main(args) == 0                     # everything grandfathered
+    def test_check_command_exit_codes(self, capsys):
+        args = ["check", "--root", FIXTURES]
+        assert main(args) == 1                     # unsuppressed findings
         capsys.readouterr()
-        assert main(args + ["--format", "json"]) == 0
+        assert main(args + ["--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"]["new"] == 0
-        assert payload["counts"]["baselined"] > 0
+        assert payload["counts"]["new"] == len(payload["new"]) > 0
+        assert payload["counts"]["suppressed"] == 6
 
     def test_repo_default_invocation_is_clean(self, capsys):
         assert main(["check"]) == 0

@@ -26,6 +26,8 @@ class TestParser:
         ["obs", "dump", "--url", "http://127.0.0.1:8765"],
         ["obs", "dump", "--flight-dir", "flight"],
         ["serve", "--runtime-interval", "1"],
+        ["check", "--baseline", "x"],
+        ["check", "--update-baseline"],
     ])
     def test_removed_surface_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -63,6 +65,12 @@ class TestCommands:
     def test_monitor_rejects_malformed_pair(self, capsys):
         assert main(["monitor", "--duration", "30", "--pairs", "nocolon"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_fault_plan_is_a_usage_error(self, capsys):
+        # A field of the wrong type must not end in a traceback, nor fail
+        # only once the fault fires inside a pool worker.
+        assert main(["sweep", "--inject-faults", '{"seed": [1]}']) == 2
+        assert "error: fault field 'seed'" in capsys.readouterr().err
 
     def test_synthetic_platform_plan(self, capsys):
         assert main(["plan", "--platform", "synthetic", "--sites", "1",

@@ -1,9 +1,11 @@
 """Tests of the fault-injection layer: plans, determinism, write faults."""
 
 import errno
+import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import faults
 from repro.faults import (
@@ -60,6 +62,26 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match="probability"):
             FaultSpec(kind="raise", probability=1.5)
 
+    @pytest.mark.parametrize("field, text", [
+        ("seed", '{"seed": [1]}'),
+        ("seed", '{"seed": 1e400}'),
+        ("seed", '{"seed": true}'),
+        ("times", '{"faults": [{"kind": "raise", "times": null}]}'),
+        ("on_attempts", '{"faults": [{"kind": "kill", "on_attempts": 5}]}'),
+        ("on_attempts",
+         '{"faults": [{"kind": "kill", "on_attempts": [-1]}]}'),
+        ("delay_s", '{"faults": [{"kind": "hang", "delay_s": {}}]}'),
+        ("delay_s", '{"faults": [{"kind": "hang", "delay_s": -1}]}'),
+        ("delay_s", '{"faults": [{"kind": "hang", "delay_s": NaN}]}'),
+        ("signum", '{"faults": [{"kind": "kill", "signum": 999}]}'),
+        ("match", '{"faults": [{"kind": "raise", "match": 5}]}'),
+    ])
+    def test_malformed_field_values_rejected(self, field, text):
+        # Each would fail late (a TypeError in the CLI, a ValueError or
+        # OSError inside a pool worker when the fault fires) if accepted.
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            FaultPlan.from_json(text)
+
     def test_non_json_rejected(self):
         with pytest.raises(ValueError, match="not valid JSON"):
             FaultPlan.from_json("{nope")
@@ -73,6 +95,33 @@ class TestPlanParsing:
         path = tmp_path / "plan.json"
         path.write_text(text, encoding="utf-8")
         assert load_plan(str(path)) == literal
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6)
+_PLAN_FIELDS = ("seed", "faults")
+_SPEC_FIELDS = ("kind", "match", "times", "on_attempts", "probability",
+                "delay_s", "signum")
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from(_PLAN_FIELDS + _SPEC_FIELDS),
+       value=_JSON_VALUES)
+def test_any_json_field_value_parses_or_raises_value_error(field, value):
+    plan = {"seed": 1, "faults": [{"kind": "hang"}]}
+    if field in _PLAN_FIELDS:
+        plan[field] = value
+    else:
+        plan["faults"][0][field] = value
+    try:
+        parsed = FaultPlan.from_json(json.dumps(plan))
+    except ValueError:
+        return
+    assert FaultPlan.from_json(parsed.to_json()) == parsed
 
 
 class TestInstallation:

@@ -1,7 +1,7 @@
-"""Tests of the sampling profiler: backends, nesting, shipping, teardown.
+"""Tests of the sampling profiler: SIGPROF, nesting, shipping, teardown.
 
 The edge cases a sampling profiler lives or dies by: arming off the main
-thread (SIGPROF refused → thread fallback, never a crash), nested
+thread (SIGPROF refused → a typed error that leaves no trace), nested
 ``profiled()`` scopes (the inner disarm must not stop the outer scope's
 sampling), and pool-worker teardown (a worker that exits mid-profile must
 not hang or kill the process).
@@ -10,6 +10,7 @@ not hang or kill the process).
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import threading
 import time
 
@@ -21,6 +22,7 @@ from repro.obs.profile import (
     MIN_HZ,
     PROFILER,
     Profiler,
+    ProfilerError,
     collapse,
 )
 
@@ -58,7 +60,7 @@ class TestCollapse:
 
 
 # ---------------------------------------------------------------------------
-# signal backend (main thread)
+# SIGPROF sampling (main thread only)
 
 
 class TestSignalBackend:
@@ -83,69 +85,40 @@ class TestSignalBackend:
         assert profiler.hz == MIN_HZ
 
     def test_disarm_restores_the_previous_sigprof_handler(self):
-        import signal as signal_module
-
-        before = signal_module.getsignal(signal_module.SIGPROF)
+        before = signal.getsignal(signal.SIGPROF)
         profiler = Profiler()
         with profiler.profiled(hz=100):
-            assert signal_module.getsignal(
-                signal_module.SIGPROF) == profiler._on_sigprof
-        assert signal_module.getsignal(signal_module.SIGPROF) == before
+            assert signal.getsignal(signal.SIGPROF) == profiler._on_sigprof
+        assert signal.getsignal(signal.SIGPROF) == before
 
-
-# ---------------------------------------------------------------------------
-# thread backend + off-main-thread arming
-
-
-class TestThreadBackend:
-    def test_forced_thread_mode_samples_wall_time(self):
+    def test_arming_off_the_main_thread_raises(self, monkeypatch):
+        """Python installs signal handlers on the main thread only: arming
+        anywhere else, or without setitimer, is a typed error that leaves
+        the arm depth and the SIGPROF handler as they were."""
+        before = signal.getsignal(signal.SIGPROF)
         profiler = Profiler()
-        with profiler.profiled(hz=200, mode="thread") as capture:
-            assert profiler.mode == "thread"
-            _busy(0.15)
-        assert capture.samples > 5
-        assert any("_busy" in frame
-                   for stack in capture.stacks for frame in stack)
-
-    def test_arming_off_the_main_thread_falls_back_not_crashes(self):
-        """POSIX refuses setitimer off the main thread; the profiler must
-        take the thread backend instead of raising."""
-        profiler = Profiler()
-        result = {}
+        errors = []
 
         def work():
-            with profiler.profiled(hz=500) as capture:
-                result["mode"] = profiler.mode
-                _busy(0.15)
-            result["samples"] = capture.samples
+            try:
+                with profiler.profiled(hz=500):
+                    _busy(0.01)
+            except ProfilerError as exc:
+                errors.append(exc)
 
         thread = threading.Thread(target=work)
         thread.start()
         thread.join(timeout=30)
         assert not thread.is_alive()
-        assert result["mode"] == "thread"
-        assert result["samples"] > 0
+        assert len(errors) == 1
         assert not profiler.armed
+        assert signal.getsignal(signal.SIGPROF) == before
 
-    def test_sampler_survives_its_target_thread_exiting(self):
-        """The sampled thread vanishing (worker teardown) is not an error:
-        the sampler keeps polling until disarmed."""
-        profiler = Profiler()
-
-        def arm_and_exit():
-            # Arm without disarming — the thread dies mid-profile.
-            profiler.arm(hz=500, mode="thread")
-            _busy(0.05)
-
-        thread = threading.Thread(target=arm_and_exit)
-        thread.start()
-        thread.join(timeout=30)
-        assert profiler.armed
-        time.sleep(0.05)                     # sampler polls a dead thread id
-        assert profiler.sample_errors == 0
-        profiler.disarm()                    # cleans up without hanging
+        monkeypatch.delattr(signal, "setitimer")
+        with pytest.raises(ProfilerError):
+            profiler.arm()
         assert not profiler.armed
-        assert profiler._sampler is None
+        assert signal.getsignal(signal.SIGPROF) == before
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +139,9 @@ class TestNesting:
 
     def test_nested_arm_ignores_mode_and_hz_preferences(self):
         profiler = Profiler()
-        assert profiler.arm(hz=500) == "signal"
+        profiler.arm(hz=500)
         try:
-            assert profiler.arm(hz=1, mode="thread") == "signal"
+            profiler.arm(hz=1)
             assert profiler.hz == 500
         finally:
             profiler.disarm()

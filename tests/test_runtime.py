@@ -5,8 +5,9 @@ Covers the PR 10 observability surface end to end:
 * :class:`repro.obs.history.MetricsHistory` — ring wraparound, windowed
   counter/gauge/histogram derivation with injected clocks, name filters;
 * :class:`repro.obs.runtime.RuntimeSampler` — process readings, the GC
-  watch, the standard Prometheus process metrics, worker-payload ingest,
-  and the real two-process merge over the pool result channel;
+  watch and the standard Prometheus process metrics; the worker-side
+  :func:`task_runtime` series and their real two-process merge through
+  the pool task's registry delta;
 * :class:`repro.obs.flightrec.FlightRecorder` — bundle contents, cooldown
   rate-limiting, pruning, and graceful failure under injected ENOSPC;
 * :mod:`repro.obs.export` — Chrome-trace golden math and the
@@ -43,7 +44,7 @@ from repro.obs.runtime import (
     task_runtime,
 )
 from repro.serve import ReproApp, Request, start_server
-from repro.sweep.runner import fold_task_result, submit_scenario
+from repro.sweep import run_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -252,27 +253,6 @@ class TestRuntimeSampler:
         assert len(state["gc_collections"]) == 3
         json.dumps(state)                       # JSON-safe for bundles
 
-    def test_ingest_folds_worker_payload(self):
-        registry = MetricsRegistry()
-        sampler = RuntimeSampler(registry=registry)
-        payload = {"pid": 4242, "peak_rss_bytes": 123456.0, "cpu_s": 1.5,
-                   "gc_collections": {"0": 3, "2": 1}, "samples": 7}
-        assert sampler.ingest(payload)
-        assert registry.value("repro_worker_peak_rss_bytes") == 123456.0
-        assert registry.value("repro_worker_cpu_seconds_total") == 1.5
-        assert registry.value("repro_worker_gc_collections_total",
-                              generation="0") == 3.0
-        # A lower peak from the next task must not regress the gauge.
-        sampler.ingest({"peak_rss_bytes": 99.0, "cpu_s": 0.5})
-        assert registry.value("repro_worker_peak_rss_bytes") == 123456.0
-        assert registry.value("repro_worker_cpu_seconds_total") == 2.0
-
-    def test_ingest_rejects_junk(self):
-        sampler = RuntimeSampler(registry=MetricsRegistry())
-        assert not sampler.ingest(None)
-        assert not sampler.ingest("nonsense")
-        assert not sampler.ingest({})  # empty dict carries nothing
-
     def test_loop_monitor_measures_lag(self):
         sampler = RuntimeSampler(registry=MetricsRegistry())
 
@@ -289,16 +269,18 @@ class TestRuntimeSampler:
         assert sampler.loop_lag_s == 0.0        # disarm resets the gauge
 
     def test_task_runtime_capture(self):
-        with task_runtime() as payload:
+        # The readings land in stored series, so the registry delta a pool
+        # task ships home carries them.
+        base = REGISTRY.stored()
+        with task_runtime():
             blob = [list(range(1000)) for _ in range(200)]
             gc.collect()
             del blob
-        assert payload["pid"] == os.getpid()
-        assert payload["peak_rss_bytes"] > 0
-        assert payload["cpu_s"] >= 0.0
-        assert isinstance(payload["gc_collections"], dict)
-        assert payload["gc_collections"].get("2", 0) >= 1
-        json.dumps(payload)                     # pickle/JSON-safe shape
+        changes = {(name, key): change for name, _, _, _, _, key, change
+                   in REGISTRY.delta(base)}
+        _, count, total, *_ = changes[("repro_worker_peak_rss_bytes", ())]
+        assert count == 1 and total > 0         # one task, its peak RSS
+        assert changes[("repro_worker_gc_collections_total", ("2",))][0] >= 1
 
     def test_task_runtime_starts_no_thread(self):
         before = set(threading.enumerate())
@@ -328,36 +310,30 @@ class TestRuntimeSampler:
 
 
 class TestWorkerRuntimeMerge:
-    def test_worker_runtime_ships_home_and_merges(self):
-        # The real two-process path: the pool worker captures its runtime
-        # and the payload rides home in the task result.
-        from repro.obs.trace import TRACER
+    def test_worker_runtime_ships_home_and_merges(self, tmp_path):
+        # The real two-process path: every pool task records its runtime
+        # into stored repro_worker_* series, and the readings ride home in
+        # the task's registry delta.
+        def series(name):
+            metric = REGISTRY.snapshot().get(name)
+            return metric["series"] if metric else []
 
-        TRACER.configure(sample_rate=1.0)
-        try:
-            with TRACER.start_trace("runtime-merge-test"):
-                async_result = submit_scenario("star-hub-8", processes=1)
-            result = async_result.get(timeout=180)
-        finally:
-            TRACER.configure(sample_rate=0.0)
-        assert result.record.ok, result.record.error
-        runtime = result.runtime
-        assert isinstance(runtime, dict)
-        assert runtime["pid"] != os.getpid(), \
-            "runtime must be captured in the worker process"
-        assert runtime["peak_rss_bytes"] > 0
-        assert runtime["cpu_s"] >= 0.0
-        # Worker spans were pid-stamped for the Perfetto exporter.
-        assert result.spans, "worker spans expected (sampled trace context)"
-        assert all(s["attrs"].get("pid") == runtime["pid"]
-                   for s in result.spans)
-        # The parent folds the payload into repro_worker_* series.
-        before = REGISTRY.value("repro_worker_cpu_seconds_total") or 0.0
-        fold_task_result(result)
-        peak = REGISTRY.value("repro_worker_peak_rss_bytes")
-        assert peak is not None and peak >= runtime["peak_rss_bytes"]
-        assert REGISTRY.value("repro_worker_cpu_seconds_total") == \
-            pytest.approx(before + runtime["cpu_s"])
+        cpu_before = REGISTRY.value("repro_worker_cpu_seconds_total") or 0.0
+        gc_before = sum(s["value"] for s in
+                        series("repro_worker_gc_collections_total"))
+        peaks_before = sum(s["count"] for s in
+                           series("repro_worker_peak_rss_bytes"))
+        result = run_sweep(names=["ring-4", "star-hub-8", "star-switch-12"],
+                           jobs=2, cache_dir=str(tmp_path))
+        assert all(record.ok for record in result.records)
+        assert REGISTRY.value("repro_worker_cpu_seconds_total") > cpu_before
+        assert sum(s["value"] for s in
+                   series("repro_worker_gc_collections_total")) > gc_before
+        # One per-task peak-RSS observation per scenario.
+        assert REGISTRY.snapshot()["repro_worker_peak_rss_bytes"]["type"] \
+            == "histogram"
+        assert sum(s["count"] for s in
+                   series("repro_worker_peak_rss_bytes")) == peaks_before + 3
 
 
 # ---------------------------------------------------------------------------

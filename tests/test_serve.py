@@ -26,6 +26,7 @@ from repro.serve import (
     scenario_record,
     start_server,
 )
+from repro.serve.http import HTTPError, _read_request
 from repro.scenarios import list_scenarios
 from repro.scenarios.registry import register_scenario, unregister
 from repro.sweep import (
@@ -332,6 +333,33 @@ class TestStoreFuzz:
             assert live.query()[0] == expected
 
 
+#: Pieces of request targets that stress ``urlsplit``: authority and IPv6
+#: brackets, scheme, query, fragment, escapes and raw non-ASCII bytes.
+_TARGET_FRAGMENT = st.sampled_from(
+    [b"/", b"//", b"[", b"]", b"::1", b"http:", b"?", b"#", b"%", b"@",
+     b"a", b"=", b"\xc3\xa9", b"\xff", b"\x85"])
+
+
+async def _parse_request(raw):
+    reader = asyncio.StreamReader()
+    reader.feed_data(raw)
+    reader.feed_eof()
+    return await _read_request(reader)
+
+
+class TestHTTPFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(target=st.lists(_TARGET_FRAGMENT, min_size=1, max_size=8))
+    def test_any_target_parses_or_is_an_http_error(self, target):
+        raw = b"GET " + b"".join(target) + b" HTTP/1.1\r\nHost: t\r\n\r\n"
+        try:
+            request = asyncio.run(_parse_request(raw))
+        except HTTPError as exc:
+            assert exc.status == 400
+            return
+        assert request is not None and request.method == "GET"
+
+
 # ---------------------------------------------------------------------------
 # the HTTP server + API endpoints
 
@@ -467,16 +495,19 @@ class TestServeAPI:
             finally:
                 writer.close()
                 await writer.wait_closed()
-            # A garbage request line gets a clean 400.
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            try:
-                writer.write(b"NOT-HTTP\r\n\r\n")
-                await writer.drain()
-                status_line = await reader.readline()
-                assert b"400" in status_line
-            finally:
-                writer.close()
-                await writer.wait_closed()
+            # A garbage request line, or a target urlsplit cannot parse,
+            # gets a clean 400.
+            for raw in (b"NOT-HTTP\r\n\r\n", b"GET //[::1 HTTP/1.1\r\n\r\n"):
+                reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                               port)
+                try:
+                    writer.write(raw)
+                    await writer.drain()
+                    status_line = await reader.readline()
+                    assert b"400" in status_line, raw
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
         _with_app(scenario, cache_dir=str(tmp_path))
 
     def test_head_carries_get_content_length_without_body(self, tmp_path):
@@ -504,16 +535,24 @@ class TestServeAPI:
         _with_app(scenario, cache_dir=str(tmp_path))
 
     def test_metrics_exposes_perf_and_request_stats(self, tmp_path):
+        def responses(payload, code):
+            series = payload["metrics"]["repro_http_responses_total"]
+            return sum(one["value"] for one in series["series"]
+                       if one["labels"]["code"] == code)
+
         async def scenario(app, port):
+            _, _, body = await _http(port, "GET", "/metrics")
+            before = json.loads(body)
             await _http(port, "GET", "/scenarios")
             await _http(port, "GET", "/scenarios")
             status, _, body = await _http(port, "GET", "/metrics")
             assert status == 200
             payload = json.loads(body)
-            assert set(payload["perf_counters"]) >= {
-                "events", "allocations", "probe_memo_hits"}
-            assert payload["requests"]["total"] >= 3
-            assert payload["requests"]["by_status"]["200"] >= 2
+            assert set(payload["metrics"]) >= {
+                "repro_perf_events_total", "repro_perf_allocations_total",
+                "repro_perf_probe_memo_hits_total"}
+            # The first /metrics and both /scenarios, counted once each.
+            assert responses(payload, "2xx") == responses(before, "2xx") + 3
             assert payload["response_cache"]["hits"] >= 1
             assert "records_parsed" in payload["store"]
             assert payload["jobs"]["pending"] == 0
@@ -523,7 +562,8 @@ class TestServeAPI:
             status, _, _ = await _http(port, "GET", "/results")
             assert status == 500
             status, _, body = await _http(port, "GET", "/metrics")
-            assert json.loads(body)["requests"]["by_status"]["500"] == 1
+            assert responses(json.loads(body), "5xx") == \
+                responses(payload, "5xx") + 1
         _with_app(scenario, cache_dir=str(tmp_path))
 
     def test_post_runs_validation(self, tmp_path):
@@ -579,9 +619,10 @@ class TestServeAPI:
             # solves max-min allocations and exercises the route cache; its
             # analytic probes dispatch no simulation events).
             status, _, blob = await _http(port, "GET", "/metrics")
-            counters = json.loads(blob)["perf_counters"]
-            assert counters["allocations"] > 0
-            assert counters["route_cache_misses"] > 0
+            metrics = json.loads(blob)["metrics"]
+            for name in ("repro_perf_allocations_total",
+                         "repro_perf_route_cache_misses_total"):
+                assert metrics[name]["series"][0]["value"] > 0
             # The run is queryable through the results API immediately.
             status, _, blob = await _http(
                 port, "GET", "/results?scenario=star-hub-8")
