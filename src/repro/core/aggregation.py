@@ -17,11 +17,12 @@ the analysis code feeds it either ground-truth values or NWS forecasts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 
 from ..netsim.topology import Platform
+from ..perf import PATH_SEARCHES, fast_path_enabled
 from .constraints import coverage_graph
 from .plan import DeploymentPlan, host_pair
 
@@ -66,7 +67,17 @@ def ground_truth_store(platform: Platform) -> PairValues:
 
 
 class Aggregator:
-    """Answers end-to-end queries from a deployment plan's measurements."""
+    """Answers end-to-end queries from a deployment plan's measurements.
+
+    One Dijkstra from a source yields the minimum-latency paths to every
+    target (Dijkstra 1959), and the coverage graph and its edge values are
+    fixed at construction.  So the first aggregated query from a host runs
+    one single-source search (``weight="latency"``), and every later query
+    from that host reads its path from the result, kept for the aggregator's
+    lifetime.  Under ``repro.perf.fast_path(False)`` each query runs its own
+    per-pair search instead (the reference).  Each search bumps
+    ``repro.perf.PATH_SEARCHES``.
+    """
 
     def __init__(self, plan: DeploymentPlan, pair_values: PairValues):
         self.plan = plan
@@ -79,6 +90,26 @@ class Aggregator:
             latency, bandwidth = pair_values(sa, sb)
             data["latency"] = latency
             data["bandwidth"] = bandwidth
+        #: Source host -> minimum-latency node path to every reachable host.
+        self._paths: Dict[str, Dict[str, List[str]]] = {}
+
+    def _path(self, src: str, dst: str) -> Optional[List[str]]:
+        """The minimum-latency node path from ``src`` to ``dst``, or ``None``."""
+        if src not in self.graph or dst not in self.graph:
+            return None
+        if not fast_path_enabled():
+            PATH_SEARCHES.value += 1.0
+            try:
+                return nx.shortest_path(self.graph, src, dst, weight="latency")
+            except nx.NetworkXNoPath:
+                return None
+        paths = self._paths.get(src)
+        if paths is None:
+            PATH_SEARCHES.value += 1.0
+            paths = nx.single_source_dijkstra_path(self.graph, src,
+                                                   weight="latency")
+            self._paths[src] = paths
+        return paths.get(dst)
 
     # -- queries ---------------------------------------------------------------
     def estimate(self, src: str, dst: str) -> Optional[LinkEstimate]:
@@ -99,9 +130,8 @@ class Aggregator:
             return LinkEstimate(src=src, dst=dst, latency_s=data["latency"],
                                 bandwidth_mbps=data["bandwidth"], method=method,
                                 path=(src, dst))
-        try:
-            nodes = nx.shortest_path(self.graph, src, dst, weight="latency")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        nodes = self._path(src, dst)
+        if nodes is None:
             return None
         latency = 0.0
         bandwidth = float("inf")

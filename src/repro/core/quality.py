@@ -127,9 +127,12 @@ def completeness_accuracy(plan: DeploymentPlan, platform: Platform
 
     Errors are mean relative errors of the estimates (representative or
     aggregated) against the platform ground truth, over the answerable pairs.
+    One :func:`ground_truth_store` feeds both the aggregator's edges and the
+    truth each estimate is scored against, and the aggregator runs at most
+    one path search per source host.
     """
-    aggregator = Aggregator(plan, ground_truth_store(platform))
-    flow_model = FlowModel(Engine(), platform)
+    truth = ground_truth_store(platform)
+    aggregator = Aggregator(plan, truth)
     hosts = sorted(plan.hosts)
     total = 0
     answered = 0
@@ -148,9 +151,7 @@ def completeness_accuracy(plan: DeploymentPlan, platform: Platform
                 direct += 1
             elif estimate.method == "aggregated":
                 aggregated += 1
-            true_bw = flow_model.single_flow_mbps(a, b)
-            true_lat = (platform.route(a, b).latency
-                        + platform.route(b, a).latency) / 2.0
+            true_lat, true_bw = truth(a, b)
             if true_bw > 0:
                 bw_errors.append(abs(estimate.bandwidth_mbps - true_bw) / true_bw)
             if true_lat > 0:

@@ -14,6 +14,12 @@ class GridMLParseError(ValueError):
     """Raised when a document does not look like GridML."""
 
 
+#: Deepest ``NETWORK`` nesting a document may use.  The parse and every later
+#: walk of the network tree recurse once per level, so the bound keeps them
+#: far below the interpreter's recursion limit.
+MAX_NETWORK_DEPTH = 64
+
+
 def _parse_property(elem: ET.Element) -> GridProperty:
     name = elem.get("name")
     value = elem.get("value")
@@ -55,7 +61,10 @@ def _parse_machine(elem: ET.Element) -> MachineEntry:
     return machine
 
 
-def _parse_network(elem: ET.Element) -> NetworkEntry:
+def _parse_network(elem: ET.Element, depth: int = 1) -> NetworkEntry:
+    if depth > MAX_NETWORK_DEPTH:
+        raise GridMLParseError(f"NETWORK elements nested deeper than "
+                               f"{MAX_NETWORK_DEPTH} levels")
     label_elem = elem.find("LABEL")
     label = label_elem.get("name") if label_elem is not None else ""
     label_ip = label_elem.get("ip") if label_elem is not None else None
@@ -67,7 +76,7 @@ def _parse_network(elem: ET.Element) -> NetworkEntry:
         elif child.tag == "MACHINE":
             network.machines.append(_machine_name(child))
         elif child.tag == "NETWORK":
-            network.subnetworks.append(_parse_network(child))
+            network.subnetworks.append(_parse_network(child, depth + 1))
     return network
 
 

@@ -22,11 +22,12 @@ loop:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 from ..gridml.model import GridDocument, MachineEntry, NetworkEntry, SiteEntry
 from ..netsim.builders import SiteBuilder
-from ..netsim.generators import attach_cluster, finish_platform
+from ..netsim.generators import attach_cluster
 from ..netsim.topology import NodeKind, Platform
 
 __all__ = ["platform_from_gridml", "gridml_from_platform"]
@@ -37,17 +38,34 @@ _BACKBONE_MBPS = 1000.0
 _BACKBONE_LATENCY_S = 1e-3
 
 
+def _network_number(net: NetworkEntry, prop: str, value: str,
+                    positive: bool) -> float:
+    """``value`` of property ``prop`` as a finite, non-negative float
+    (strictly positive when ``positive``); ``ValueError`` otherwise."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number) or number < 0 or (positive and number == 0):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"network {net.label!r}: property {prop} = {value!r} "
+                         f"is not a finite {kind} number")
+    return number
+
+
 def _network_bandwidth(net: NetworkEntry) -> float:
     for prop in ("bandwidth_mbps", "ENV_base_BW"):
         value = net.property_value(prop)
         if value is not None:
-            return float(value)
+            return _network_number(net, prop, value, positive=True)
     return _DEFAULT_SEGMENT_MBPS
 
 
 def _network_latency(net: NetworkEntry) -> float:
     value = net.property_value("latency_s")
-    return float(value) if value is not None else _DEFAULT_SEGMENT_LATENCY_S
+    if value is None:
+        return _DEFAULT_SEGMENT_LATENCY_S
+    return _network_number(net, "latency_s", value, positive=False)
 
 
 class _GridBuilder:
@@ -154,7 +172,12 @@ class _GridBuilder:
         if not platform.hosts():
             raise ValueError("GridML document holds no machines; "
                              "nothing to build")
-        return finish_platform(platform, self.ground_truth)
+        platform.ground_truth = self.ground_truth  # type: ignore[attr-defined]
+        problems = platform.validate()
+        if problems:
+            raise ValueError(f"{platform.name}: imported platform failed "
+                             "validation: " + "; ".join(problems))
+        return platform
 
 
 def platform_from_gridml(doc: GridDocument,

@@ -231,6 +231,10 @@ def register_imported(path: str, format: Optional[str] = None,
     resolved = format or detect_format(path)
     digest = digest or file_digest(path)
     if resolved == "gridml":
+        # Build once before anything is registered or replaced: a document
+        # whose platform cannot build or validate raises ValueError here,
+        # not in every later sweep.
+        platform_from_gridml(from_xml(read_text(path)))
         _drop_stale_registrations(path, digest)
     else:
         _drop_stale_registrations(path, digest, seed=int(seed),

@@ -364,7 +364,21 @@ class FlowModel:
         return list(cached)
 
     def single_flow_mbps(self, src: str, dst: str) -> float:
-        """Analytic bandwidth of a single flow between ``src`` and ``dst``."""
+        """Analytic bandwidth of a single flow between ``src`` and ``dst``.
+
+        The max-min rate of a lone flow is its route's tightest capacity
+        (``inf`` on a route that crosses no constraint), read from the same
+        :attr:`capacities` snapshot the allocation uses.  Under
+        ``repro.perf.fast_path(False)`` the allocation itself answers, as it
+        does for a tightest capacity that is not finite: progressive filling
+        never freezes a flow on an infinite share and leaves it at 0.
+        """
+        if fast_path_enabled():
+            keys = self.platform.route(src, dst).constraint_keys(self.platform)
+            rate = min((self.capacities[key] for key in keys),
+                       default=float("inf"))
+            if rate < float("inf") or not keys:
+                return rate
         return self.steady_state_mbps([(src, dst)])[0]
 
     # -- internals --------------------------------------------------------------

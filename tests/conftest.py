@@ -8,6 +8,7 @@ their own instances).
 
 from __future__ import annotations
 
+import logging
 import os
 
 import pytest
@@ -24,6 +25,31 @@ from repro.scenarios import registry_snapshot, restore_registry
 _CHAOS_SPAN_LOG = os.environ.get("REPRO_CHAOS_SPAN_LOG")
 if _CHAOS_SPAN_LOG:
     TRACER.configure(sample_rate=1.0, log_path=_CHAOS_SPAN_LOG)
+
+
+@pytest.fixture(autouse=True)
+def _tracer_and_logging_isolation():
+    """Restore the tracer settings and the ``repro`` logger around every test.
+
+    ``repro.cli.main`` reconfigures the process-wide tracer and binds the
+    ``repro`` logger to the stderr of the moment (pytest's capture stream,
+    closed after the test).  Without this fixture one CLI test would turn
+    off the chaos run's full tracing for every later test, and later log
+    records would hit a closed stream ("Logging error").
+    """
+    settings = (TRACER.sample_rate, TRACER.log_path, TRACER.slow_span_s,
+                TRACER.log_max_bytes)
+    logger = logging.getLogger("repro")
+    handlers, level, propagate = logger.handlers[:], logger.level, \
+        logger.propagate
+    yield
+    sample_rate, log_path, slow_span_s, log_max_bytes = settings
+    TRACER.configure(sample_rate=sample_rate, log_path=log_path or "",
+                     slow_span_s=slow_span_s or 0.0,
+                     log_max_bytes=log_max_bytes)
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
+    logger.propagate = propagate
 
 
 @pytest.fixture(autouse=True)

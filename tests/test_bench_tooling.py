@@ -134,7 +134,7 @@ def test_bench_conftest_writes_results_file(tmp_path):
     assert record["code_version"] == payload["code_version"]
     assert set(record["counters"]) == {"events", "allocations",
                                        "probe_memo_hits", "route_cache_hits",
-                                       "route_cache_misses"}
+                                       "route_cache_misses", "path_searches"}
 
 
 def test_bench_conftest_merges_previous_results(tmp_path):

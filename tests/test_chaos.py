@@ -13,6 +13,7 @@ Run just this file with ``make chaos``.
 
 import asyncio
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -726,3 +727,29 @@ class TestStoreFallback:
         finally:
             store.close()
         assert any(r.scenario == "parked" for r in load_jsonl(path))
+
+
+# ---------------------------------------------------------------------------
+# process-wide state a CLI call reconfigures
+
+#: The tracer settings this module was collected under (full sampling under
+#: ``make chaos``, which exports REPRO_CHAOS_SPAN_LOG).
+_ARMED = (TRACER.sample_rate, TRACER.log_path)
+
+
+class TestCliCallLeavesTracingArmed:
+    """``repro.cli.main`` reconfigures the tracer and the ``repro`` logger;
+    the conftest restores both after every test.  The two tests run in
+    order: the second one sees what the first one's CLI call left."""
+
+    def test_cli_main_in_process(self, capsys):
+        from repro.cli import main
+        assert main(["scenarios"]) == 0
+        assert TRACER.sample_rate == 0.0   # main() applied its default
+
+    def test_next_test_keeps_tracing_and_logging(self, capsys):
+        assert (TRACER.sample_rate, TRACER.log_path) == _ARMED
+        if os.environ.get("REPRO_CHAOS_SPAN_LOG"):
+            assert TRACER.sample_rate == 1.0
+        logging.getLogger("repro").warning("after an in-process CLI call")
+        assert "Logging error" not in capsys.readouterr().err

@@ -1,12 +1,17 @@
 """Tests of constraints checking, aggregation and plan quality metrics."""
 
+import itertools
+
+import networkx as nx
 import pytest
 
+from repro import perf
 from repro.core import (
     Aggregator,
     check_completeness,
     check_constraints,
     compare_plans,
+    completeness_accuracy,
     coverage_graph,
     evaluate_plan,
     find_collisions,
@@ -22,8 +27,38 @@ from repro.core import (
     DeploymentPlan,
     host_pair,
 )
-from repro.netsim import FlowModel, build_ens_lyon
+from repro.dynamics import DynamicScenario
+from repro.env import map_platform
+from repro.netsim import FatTreeSpec, FlowModel, build_ens_lyon, \
+    generate_fat_tree
+from repro.pipeline import BASELINE_PLANNERS
+from repro.scenarios import list_scenarios
 from repro.simkernel import Engine
+
+
+def all_plans(platform):
+    """The ENV plan (master: the first host) and every baseline plan."""
+    view = map_platform(platform, platform.host_names()[0])
+    plans = {"env": plan_from_view(view)}
+    hosts = sorted(plans["env"].hosts)
+    for name, planner in BASELINE_PLANNERS.items():
+        plans[name] = planner(platform, hosts)
+    return plans
+
+
+def oracle_estimate(graph, src, dst):
+    """(path, latency, bandwidth) of a per-pair ``nx.shortest_path``."""
+    try:
+        path = nx.shortest_path(graph, src, dst, weight="latency")
+    except nx.NetworkXNoPath:
+        return None
+    hops = [graph.edges[a, b] for a, b in zip(path, path[1:])]
+    return (tuple(path), sum(hop["latency"] for hop in hops),
+            min(hop["bandwidth"] for hop in hops))
+
+
+def searches():
+    return perf.counters_snapshot()["path_searches"]
 
 
 class TestCollisions:
@@ -102,6 +137,75 @@ class TestCompletenessAndAggregation:
         estimates = aggregator.estimate_all_pairs()
         n = len(ens_plan.hosts)
         assert len(estimates) == n * (n - 1) // 2
+
+
+class TestPathIndex:
+    """One single-source search per source host, checked against per-pair
+    ``nx.shortest_path`` (an oracle outside the aggregator)."""
+
+    def test_catalog_estimates_match_per_pair_search(self):
+        compared = 0
+        for scenario in list_scenarios():
+            if isinstance(scenario, DynamicScenario):
+                continue
+            platform = scenario.build()
+            for name, plan in all_plans(platform).items():
+                aggregator = Aggregator(plan, ground_truth_store(platform))
+                graph = aggregator.graph
+                for a, b in itertools.permutations(sorted(plan.hosts), 2):
+                    if graph.has_edge(a, b):
+                        continue
+                    estimate = aggregator.estimate(a, b)
+                    expected = oracle_estimate(graph, a, b)
+                    got = None if estimate is None else (
+                        estimate.path, estimate.latency_s,
+                        estimate.bandwidth_mbps)
+                    assert got == expected, (scenario.name, name, a, b)
+                    compared += 1
+        assert compared > 5000
+
+    def test_completeness_searches_once_per_source(self):
+        platform = generate_fat_tree(FatTreeSpec(pods=3, edges_per_pod=2,
+                                                 hosts_per_edge=3))
+        plan = all_plans(platform)["env"]
+        graph = coverage_graph(plan)
+        hosts = sorted(plan.hosts)
+        unjoined = [(a, b) for a, b in itertools.combinations(hosts, 2)
+                    if not graph.has_edge(a, b)]
+        assert unjoined, "the ENV plan should aggregate some pairs"
+        before = searches()
+        fast = completeness_accuracy(plan, platform)
+        assert searches() - before == len({a for a, _ in unjoined})
+        with perf.fast_path(False):
+            before = searches()
+            reference = completeness_accuracy(plan, platform)
+            assert searches() - before == len(unjoined)
+        assert fast == reference
+        assert fast[0] == 1.0
+
+    def test_unknown_and_unreachable_hosts_answer_none(self, ens_lyon):
+        plan = DeploymentPlan(hosts=["moby", "canaria", "sci1"])
+        plan.cliques.append(Clique(name="c", hosts=("moby", "canaria")))
+        for enabled in (True, False):
+            with perf.fast_path(enabled):
+                aggregator = Aggregator(plan, ground_truth_store(ens_lyon))
+                before = searches()
+                assert aggregator.estimate("moby", "nowhere") is None
+                assert aggregator.estimate("nowhere", "moby") is None
+                assert searches() == before
+                for src in ("moby", "moby", "canaria"):
+                    assert aggregator.estimate(src, "sci1") is None
+                # One search per source, or one per query on the reference.
+                assert searches() - before == (2 if enabled else 3)
+
+    def test_repeated_queries_reuse_the_search(self, ens_lyon, ens_plan):
+        aggregator = Aggregator(ens_plan, ground_truth_store(ens_lyon))
+        before = searches()
+        first = aggregator.estimate_all_pairs()
+        once = searches() - before
+        assert aggregator.estimate_all_pairs() == first
+        assert searches() - before == once
+        assert 0 < once < len(ens_plan.hosts)
 
 
 class TestQualityMetrics:

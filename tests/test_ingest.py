@@ -3,6 +3,7 @@ bridge, imported-scenario registration/hashing and the import manifest."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -44,6 +45,30 @@ FIXTURE_GRAPHML = os.path.join(os.path.dirname(__file__), "data",
                                "campus.graphml")
 FIXTURE_BRITE = os.path.join(os.path.dirname(__file__), "data",
                              "sample.brite")
+
+
+def _segment_document(prop: str, value: str) -> str:
+    """A GridML document of one shared segment carrying ``prop=value``."""
+    return ('<GRID><NETWORK type="ENV_Shared"><LABEL name="lan"/>'
+            f'<PROPERTY name="{prop}" value="{value}"/>'
+            '<MACHINE name="h1"/><MACHINE name="h2"/></NETWORK></GRID>')
+
+
+def _nested_document(depth: int) -> str:
+    """``depth`` nested NETWORK elements, two machines in the innermost."""
+    inner = '<MACHINE name="h1"/><MACHINE name="h2"/>'
+    return ("<GRID>" + '<NETWORK type="Structural">' * depth + inner
+            + "</NETWORK>" * depth + "</GRID>")
+
+
+#: Documents every import must refuse, each with the words its error names.
+MALFORMED_GRIDML = {
+    "inf-bandwidth": (_segment_document("ENV_base_BW", "inf"),
+                      "'lan'.*ENV_base_BW"),
+    "zero-bandwidth": (_segment_document("ENV_base_BW", "0"),
+                       "'lan'.*ENV_base_BW"),
+    "nested-1200": (_nested_document(1200), "nested deeper"),
+}
 
 
 class TestParsers:
@@ -363,6 +388,36 @@ class TestGridMLBridge:
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError, match="no machines"):
             platform_from_gridml(from_xml("<GRID></GRID>"))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GRIDML))
+    def test_malformed_document_rejected(self, case):
+        text, message = MALFORMED_GRIDML[case]
+        with pytest.raises(ValueError, match=message):
+            platform_from_gridml(from_xml(text))
+
+    @pytest.mark.parametrize("prop,value", [
+        ("bandwidth_mbps", "nan"), ("bandwidth_mbps", "-5"),
+        ("latency_s", "inf"), ("latency_s", "-1e-3"),
+        ("latency_s", "fast")])
+    def test_bad_segment_value_names_network_and_property(self, prop, value):
+        with pytest.raises(ValueError, match=f"'lan'.*{prop}"):
+            platform_from_gridml(from_xml(_segment_document(prop, value)))
+
+    def test_zero_latency_and_moderate_nesting_build(self):
+        platform = platform_from_gridml(
+            from_xml(_segment_document("latency_s", "0")))
+        assert sorted(platform.host_names()) == ["h1", "h2"]
+        platform = platform_from_gridml(from_xml(_nested_document(40)))
+        assert platform.validate() == []
+
+    def test_platform_failing_validation_raises_value_error(self,
+                                                             monkeypatch):
+        from repro.netsim.topology import Platform
+        monkeypatch.setattr(Platform, "validate",
+                            lambda self: ["forced problem"])
+        with pytest.raises(ValueError, match="forced problem"):
+            platform_from_gridml(from_xml(_segment_document("latency_s",
+                                                            "0")))
 
     def test_many_networks_within_address_plan(self):
         # Routers and segments draw from separate address spaces, so ~130
@@ -727,6 +782,22 @@ class TestImportCLI:
 
     def test_import_rejects_missing_file(self, capsys, tmp_path):
         assert main(["import", str(tmp_path / "missing.txt")]) == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GRIDML))
+    def test_import_rejects_malformed_gridml(self, case, capsys, tmp_path,
+                                             monkeypatch):
+        # Refused at import: exit 2, nothing registered, no manifest entry
+        # (before, the file was recorded and every later sweep failed).
+        monkeypatch.chdir(tmp_path)
+        text, message = MALFORMED_GRIDML[case]
+        (tmp_path / f"{case}.xml").write_text(text)
+        assert main(["import", f"{case}.xml", "--sweep",
+                     "--cache-dir", str(tmp_path / "cache")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert re.search(message, err)
+        assert not os.path.exists(tmp_path / ".repro-imports.json")
+        assert not list_scenarios(family="imported")
 
     def test_import_basename_collision_fails_at_import_time(self, capsys,
                                                             tmp_path,

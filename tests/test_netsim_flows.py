@@ -1,8 +1,13 @@
 """Tests of the max-min fair flow model, TCP probes and background load."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro import perf
+from repro.dynamics import DynamicScenario
+from repro.scenarios import list_scenarios
 from repro.simkernel import Engine, Tracer
 from repro.netsim import (
     CommunicationBlocked,
@@ -165,6 +170,58 @@ class TestFlowModel:
         eng.run(until=eng.all_of(events))
         assert fm.active_flow_count() == 0
         assert fm.completed_transfers == len(events)
+
+
+def lone_flow_allocation(model, src, dst):
+    """The progressive-filling rate of ``src -> dst`` as the only flow."""
+    keys = model.platform.route(src, dst).constraint_keys(model.platform)
+    return max_min_allocation([keys], model.capacities)[0]
+
+
+class TestSingleFlowClosedForm:
+    """A lone flow's max-min rate is its route's tightest capacity; the
+    allocation it replaces is the oracle."""
+
+    def test_catalog_pairs_match_the_allocation(self):
+        compared = 0
+        for scenario in list_scenarios():
+            if isinstance(scenario, DynamicScenario):
+                continue
+            model = FlowModel(Engine(), scenario.build())
+            hosts = model.platform.host_names()
+            for src, dst in itertools.permutations(hosts, 2):
+                expected = lone_flow_allocation(model, src, dst)
+                assert model.single_flow_mbps(src, dst) == expected, \
+                    (scenario.name, src, dst)
+                with perf.fast_path(False):
+                    assert model.single_flow_mbps(src, dst) == expected
+                compared += 1
+        assert compared > 4000
+
+    def test_model_built_before_a_mutation_keeps_its_snapshot(self):
+        # The stale-capacity behaviour of a model that outlives a mutation
+        # is unchanged: both the closed form and the allocation read the
+        # capacities copied at construction, while routes are read live.
+        platform = build_ens_lyon()
+        stale = FlowModel(Engine(), platform)
+        for name, link in platform.links.items():
+            platform.set_link_bandwidth(name, link.bandwidth_mbps / 10.0)
+        fresh = FlowModel(Engine(), platform)
+        hosts = platform.host_names()
+        for src, dst in itertools.permutations(hosts, 2):
+            expected = lone_flow_allocation(stale, src, dst)
+            assert stale.single_flow_mbps(src, dst) == expected
+            with perf.fast_path(False):
+                assert stale.single_flow_mbps(src, dst) == expected
+        assert stale.single_flow_mbps("sci1", "sci2") == \
+            10.0 * fresh.single_flow_mbps("sci1", "sci2")
+
+    def test_closed_form_solves_no_allocation(self):
+        model = FlowModel(Engine(), small_platform())
+        before = perf.counters_snapshot()["allocations"]
+        assert model.single_flow_mbps("a", "b") == pytest.approx(100.0)
+        assert model.single_flow_mbps("a", "a") == float("inf")
+        assert perf.counters_snapshot()["allocations"] == before
 
 
 class TestTcpModel:

@@ -6,7 +6,7 @@ from repro import perf
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 
 WORK_NAMES = ("events", "allocations", "probe_memo_hits", "route_cache_hits",
-              "route_cache_misses")
+              "route_cache_misses", "path_searches")
 
 
 def _work_delta(**counts):

@@ -1,8 +1,21 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Clique, DeploymentPlan, parse_config, render_config
+from repro.core import (
+    Aggregator,
+    Clique,
+    DeploymentPlan,
+    ground_truth_store,
+    parse_config,
+    plan_from_view,
+    random_partition_plan,
+    render_config,
+)
+from repro.env import map_platform
+from repro.ingest import platform_from_gridml
 from repro.gridml import (
     GridDocument,
     MachineEntry,
@@ -11,9 +24,21 @@ from repro.gridml import (
     from_xml,
     to_xml,
 )
-from repro.netsim import IPv4Address, max_min_allocation
+from repro.netsim import (
+    FatTreeSpec,
+    IPv4Address,
+    RingSpec,
+    SyntheticSpec,
+    WanGridSpec,
+    generate_constellation,
+    generate_fat_tree,
+    generate_ring,
+    generate_wan_grid,
+    max_min_allocation,
+)
 from repro.nws import ForecasterBank
 from repro.simkernel import RandomStreams, derive_seed
+from tests.test_core_quality import oracle_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +160,22 @@ def test_gridml_roundtrip_preserves_structure(doc):
         [n.network_type for n in doc.all_networks()]
 
 
+@given(gridml_documents(),
+       st.sampled_from(["bandwidth_mbps", "ENV_base_BW", "latency_s"]),
+       st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                 st.text(max_size=8)))
+@settings(max_examples=100, deadline=None)
+def test_gridml_import_validates_or_raises_value_error(doc, prop, value):
+    """Any segment value: the import builds a platform that validates, or
+    it raises ``ValueError`` (never a crash in a later sweep)."""
+    doc.networks[0].add_property(prop, value)
+    try:
+        platform = platform_from_gridml(doc)
+    except ValueError:
+        return
+    assert platform.validate() == []
+
+
 # ---------------------------------------------------------------------------
 # Deployment plan config round-trip
 # ---------------------------------------------------------------------------
@@ -206,3 +247,50 @@ def test_streams_reset_reproduces_sequence(seed):
     first = list(streams.stream("s").random(4))
     streams.reset()
     assert list(streams.stream("s").random(4)) == first
+
+
+# ---------------------------------------------------------------------------
+# Aggregation paths
+# ---------------------------------------------------------------------------
+@st.composite
+def small_platforms(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**20))
+    kind = draw(st.sampled_from(["constellation", "wan-grid", "fat-tree",
+                                 "ring"]))
+    if kind == "constellation":
+        return generate_constellation(SyntheticSpec(
+            sites=draw(st.integers(2, 3)), seed=seed,
+            clusters_per_site=(1, 2), hosts_per_cluster=(2, 3)))
+    if kind == "wan-grid":
+        return generate_wan_grid(WanGridSpec(
+            rows=draw(st.integers(1, 2)), cols=draw(st.integers(2, 3)),
+            seed=seed, hosts_per_site=(2, 3)))
+    if kind == "fat-tree":
+        return generate_fat_tree(FatTreeSpec(
+            pods=draw(st.integers(1, 3)), edges_per_pod=draw(st.integers(1, 2)),
+            hosts_per_edge=draw(st.integers(2, 3))))
+    return generate_ring(RingSpec(sites=draw(st.integers(3, 4)),
+                                  hosts_per_site=(2, 3), seed=seed))
+
+
+@given(small_platforms(), st.one_of(st.none(), st.integers(2, 4)),
+       st.integers(min_value=0, max_value=1000))
+@settings(max_examples=100, deadline=None)
+def test_path_index_matches_per_pair_search(platform, clique_size, seed):
+    """Every estimate read from the single-source path index equals a
+    per-pair ``nx.shortest_path`` in path, latency and bandwidth, on the
+    ENV plan (``clique_size`` None) or a random partition."""
+    if clique_size is None:
+        plan = plan_from_view(map_platform(platform, platform.host_names()[0]))
+    else:
+        plan = random_partition_plan(platform, clique_size=clique_size,
+                                     seed=seed)
+    aggregator = Aggregator(plan, ground_truth_store(platform))
+    graph = aggregator.graph
+    for a, b in itertools.permutations(sorted(plan.hosts), 2):
+        if graph.has_edge(a, b):
+            continue
+        estimate = aggregator.estimate(a, b)
+        got = None if estimate is None else (
+            estimate.path, estimate.latency_s, estimate.bandwidth_mbps)
+        assert got == oracle_estimate(graph, a, b)
