@@ -16,6 +16,7 @@ the analysis code feeds it either ground-truth values or NWS forecasts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -77,12 +78,19 @@ class Aggregator:
     lifetime.  Under ``repro.perf.fast_path(False)`` each query runs its own
     per-pair search instead (the reference).  Each search bumps
     ``repro.perf.PATH_SEARCHES``.
+
+    A NaN latency (an NWS forecast whose series is missing) leaves the
+    minimum-latency path undefined: Dijkstra's choice then follows adjacency
+    and heap order, and a single-source search can pick another path than
+    the per-pair one.  A graph holding a NaN latency is therefore searched
+    per pair in both modes, so it answers as the reference does.
     """
 
     def __init__(self, plan: DeploymentPlan, pair_values: PairValues):
         self.plan = plan
         self.pair_values = pair_values
         self.graph = coverage_graph(plan)
+        nan_latency = False
         # Attach measured values to the edges once.
         for a, b, data in self.graph.edges(data=True):
             source = data["source"]
@@ -90,14 +98,17 @@ class Aggregator:
             latency, bandwidth = pair_values(sa, sb)
             data["latency"] = latency
             data["bandwidth"] = bandwidth
-        #: Source host -> minimum-latency node path to every reachable host.
-        self._paths: Dict[str, Dict[str, List[str]]] = {}
+            nan_latency = nan_latency or math.isnan(latency)
+        #: Source host -> minimum-latency node path to every reachable host;
+        #: ``None`` when a NaN latency rules the index out.
+        self._paths: Optional[Dict[str, Dict[str, List[str]]]] = \
+            None if nan_latency else {}
 
     def _path(self, src: str, dst: str) -> Optional[List[str]]:
         """The minimum-latency node path from ``src`` to ``dst``, or ``None``."""
         if src not in self.graph or dst not in self.graph:
             return None
-        if not fast_path_enabled():
+        if self._paths is None or not fast_path_enabled():
             PATH_SEARCHES.value += 1.0
             try:
                 return nx.shortest_path(self.graph, src, dst, weight="latency")

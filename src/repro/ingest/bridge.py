@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 
 from ..gridml.model import GridDocument, MachineEntry, NetworkEntry, SiteEntry
 from ..netsim.builders import SiteBuilder
-from ..netsim.generators import attach_cluster
+from ..netsim.generators import attach_cluster, finish_platform
 from ..netsim.topology import NodeKind, Platform
 
 __all__ = ["platform_from_gridml", "gridml_from_platform"]
@@ -172,12 +172,7 @@ class _GridBuilder:
         if not platform.hosts():
             raise ValueError("GridML document holds no machines; "
                              "nothing to build")
-        platform.ground_truth = self.ground_truth  # type: ignore[attr-defined]
-        problems = platform.validate()
-        if problems:
-            raise ValueError(f"{platform.name}: imported platform failed "
-                             "validation: " + "; ".join(problems))
-        return platform
+        return finish_platform(platform, self.ground_truth)
 
 
 def platform_from_gridml(doc: GridDocument,

@@ -36,6 +36,7 @@ import hashlib
 import os
 import re
 import xml.etree.ElementTree as ET
+import zlib
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
@@ -287,23 +288,29 @@ def sanitise_name(name: str, fallback: str = "node") -> str:
     return cleaned or fallback
 
 
+def _read(path: str, limit: int = -1, errors: str = "strict") -> str:
+    """Up to ``limit`` characters of the file (all when negative),
+    transparently decompressing ``.gz`` files; a truncated or corrupt
+    compressed stream raises ``ValueError``."""
+    if path.endswith(".gz"):
+        try:
+            with gzip.open(path, "rt", encoding="utf-8",
+                           errors=errors) as handle:
+                return handle.read(limit)
+        except (EOFError, zlib.error) as exc:
+            raise ValueError(f"{path}: damaged gzip stream ({exc})") from exc
+    with open(path, "r", encoding="utf-8", errors=errors) as handle:
+        return handle.read(limit)
+
+
 def read_text(path: str) -> str:
     """File content as text, transparently decompressing ``.gz`` files."""
-    if path.endswith(".gz"):
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            return handle.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    return _read(path)
 
 
 def _read_prefix(path: str, limit: int = 1 << 18) -> str:
     """The first ``limit`` characters (sniffing must not slurp a huge trace)."""
-    if path.endswith(".gz"):
-        with gzip.open(path, "rt", encoding="utf-8",
-                       errors="replace") as handle:
-            return handle.read(limit)
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        return handle.read(limit)
+    return _read(path, limit, errors="replace")
 
 
 def file_digest(path: str) -> str:

@@ -219,7 +219,11 @@ def register_imported(path: str, format: Optional[str] = None,
     counts); GridML files carry their own structure and yield exactly one.
     ``name`` overrides the basename-derived scenario stem (needed when two
     different files share a basename); ``digest`` lets a caller that already
-    hashed the file (the manifest loader) skip a redundant read.
+    hashed the file (the manifest loader) skip a redundant read.  A fresh
+    GridML import (no ``digest``) builds its platform once before anything
+    is registered, so a document that cannot build or validate raises
+    ``ValueError`` here rather than in every later sweep; a recorded one is
+    trusted until build time, like every other recorded import.
     Registration is idempotent for an unchanged file; re-importing the same
     source with changed content or knobs *replaces* its registration (new
     digest → new hashes → new cache keys), while a *different* file under
@@ -229,12 +233,10 @@ def register_imported(path: str, format: Optional[str] = None,
     if not os.path.exists(path):
         raise FileNotFoundError(f"topology file not found: {path}")
     resolved = format or detect_format(path)
+    if resolved == "gridml" and digest is None:
+        platform_from_gridml(from_xml(read_text(path)))
     digest = digest or file_digest(path)
     if resolved == "gridml":
-        # Build once before anything is registered or replaced: a document
-        # whose platform cannot build or validate raises ValueError here,
-        # not in every later sweep.
-        platform_from_gridml(from_xml(read_text(path)))
         _drop_stale_registrations(path, digest)
     else:
         _drop_stale_registrations(path, digest, seed=int(seed),

@@ -109,12 +109,7 @@ def generate_constellation(spec: SyntheticSpec) -> Platform:
     if any_firewalled:
         attach_firewall(platform, firewall)
 
-    platform.ground_truth = ground_truth  # type: ignore[attr-defined]
-    problems = platform.validate()
-    if problems:
-        raise AssertionError("synthetic platform failed validation: "
-                             + "; ".join(problems))
-    return platform
+    return finish_platform(platform, ground_truth)
 
 
 def generate_single_site(n_hub_clusters: int = 1, n_switch_clusters: int = 1,
@@ -173,12 +168,15 @@ def ground_truth_groups(platform: Platform) -> Dict[str, Dict[str, object]]:
 
 def finish_platform(platform: Platform,
                     ground_truth: Dict[str, Dict[str, object]]) -> Platform:
-    """Record the ground truth, validate and return the platform."""
+    """Record the ground truth, validate and return the platform.
+
+    A platform that fails :meth:`Platform.validate` raises ``ValueError``
+    naming every problem."""
     platform.ground_truth = ground_truth  # type: ignore[attr-defined]
     problems = platform.validate()
     if problems:
-        raise AssertionError(f"{platform.name}: generated platform failed "
-                             "validation: " + "; ".join(problems))
+        raise ValueError(f"{platform.name}: platform failed validation: "
+                         + "; ".join(problems))
     return platform
 
 

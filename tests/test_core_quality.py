@@ -198,6 +198,41 @@ class TestPathIndex:
                 # One search per source, or one per query on the reference.
                 assert searches() - before == (2 if enabled else 3)
 
+    def test_nan_latency_graph_answers_as_the_per_pair_search(self):
+        # A missing NWS series gives its edge a NaN latency, and Dijkstra's
+        # choice over NaN weights follows adjacency and heap order: here a
+        # single-source search from s reaches t through the NaN edge s-a,
+        # the per-pair search through b.  Such a graph is searched per pair
+        # in both modes.
+        nan = float("nan")
+        values = {("a", "s"): (nan, 5.0), ("b", "s"): (1.0, 10.0),
+                  ("b", "t"): (1.0, 20.0), ("a", "t"): (1.0, 30.0)}
+        plan = DeploymentPlan(hosts=["s", "a", "b", "t"])
+        for index, pair in enumerate([("s", "a"), ("s", "b"), ("t", "b"),
+                                      ("t", "a")]):
+            plan.cliques.append(Clique(name=f"c{index}", hosts=pair))
+
+        def answers():
+            aggregator = Aggregator(plan,
+                                    lambda a, b: values[tuple(sorted((a, b)))])
+            out = {}
+            for a, b in [("s", "t"), ("t", "s"), ("a", "b"), ("b", "a")]:
+                estimate = aggregator.estimate(a, b)
+                expected = oracle_estimate(aggregator.graph, a, b)
+                got = (estimate.path, estimate.latency_s,
+                       estimate.bandwidth_mbps)
+                assert repr(got) == repr(expected), (a, b)
+                out[a, b] = got
+            return out
+
+        before = searches()
+        fast = answers()
+        assert searches() - before == 4
+        with perf.fast_path(False):
+            reference = answers()
+        assert repr(fast) == repr(reference)
+        assert fast["s", "t"] == (("s", "b", "t"), 2.0, 10.0)
+
     def test_repeated_queries_reuse_the_search(self, ens_lyon, ens_plan):
         aggregator = Aggregator(ens_plan, ground_truth_store(ens_lyon))
         before = searches()

@@ -799,6 +799,33 @@ class TestImportCLI:
         assert not os.path.exists(tmp_path / ".repro-imports.json")
         assert not list_scenarios(family="imported")
 
+    def test_truncated_recorded_gzip_keeps_startup_lazy(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # Only a fresh import builds the document.  A recorded entry whose
+        # file was damaged later still registers from its recorded digest,
+        # so registry-reading commands start, and its build fails on the
+        # digest check.  A fresh import of the damaged file exits 2.
+        import gzip
+        monkeypatch.chdir(tmp_path)
+        pristine = registry_snapshot()
+        with gzip.open("campus.gridml.gz", "wt", encoding="utf-8") as handle:
+            handle.write(_segment_document("latency_s", "0"))
+        assert main(["import", "campus.gridml.gz"]) == 0
+        data = (tmp_path / "campus.gridml.gz").read_bytes()
+        (tmp_path / "campus.gridml.gz").write_bytes(data[:len(data) // 2])
+        capsys.readouterr()
+        restore_registry(pristine)
+        assert main(["scenarios", "--family", "imported"]) == 0
+        captured = capsys.readouterr()
+        assert "imported-campus" in captured.out
+        assert "warning" not in captured.err
+        with pytest.raises(ValueError, match="source file changed"):
+            list_scenarios(family="imported")[0].build()
+        restore_registry(pristine)
+        assert main(["import", "campus.gridml.gz", "--no-save"]) == 2
+        assert "damaged gzip stream" in capsys.readouterr().err
+
     def test_import_basename_collision_fails_at_import_time(self, capsys,
                                                             tmp_path,
                                                             monkeypatch):
