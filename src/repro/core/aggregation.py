@@ -16,7 +16,6 @@ the analysis code feeds it either ground-truth values or NWS forecasts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -67,6 +66,13 @@ def ground_truth_store(platform: Platform) -> PairValues:
     return values
 
 
+def _measured_latency(a: str, b: str, data: dict) -> Optional[float]:
+    """Path-search weight of an edge: its latency, or ``None`` (skip the
+    edge) when the latency is NaN."""
+    latency = data["latency"]
+    return None if latency != latency else latency
+
+
 class Aggregator:
     """Answers end-to-end queries from a deployment plan's measurements.
 
@@ -79,18 +85,18 @@ class Aggregator:
     per-pair search instead (the reference).  Each search bumps
     ``repro.perf.PATH_SEARCHES``.
 
-    A NaN latency (an NWS forecast whose series is missing) leaves the
-    minimum-latency path undefined: Dijkstra's choice then follows adjacency
-    and heap order, and a single-source search can pick another path than
-    the per-pair one.  A graph holding a NaN latency is therefore searched
-    per pair in both modes, so it answers as the reference does.
+    The NaN rule.  An edge whose latency is NaN (an NWS forecast whose
+    series is missing) is not a measured segment, so every path search
+    skips it: Dijkstra never compares a NaN, whose outcome would follow
+    adjacency and heap order.  A NaN bandwidth on the chosen path makes the
+    path's bandwidth NaN, since the path crosses an unmeasured segment
+    (``min`` would drop the NaN).
     """
 
     def __init__(self, plan: DeploymentPlan, pair_values: PairValues):
         self.plan = plan
         self.pair_values = pair_values
         self.graph = coverage_graph(plan)
-        nan_latency = False
         # Attach measured values to the edges once.
         for a, b, data in self.graph.edges(data=True):
             source = data["source"]
@@ -98,27 +104,25 @@ class Aggregator:
             latency, bandwidth = pair_values(sa, sb)
             data["latency"] = latency
             data["bandwidth"] = bandwidth
-            nan_latency = nan_latency or math.isnan(latency)
-        #: Source host -> minimum-latency node path to every reachable host;
-        #: ``None`` when a NaN latency rules the index out.
-        self._paths: Optional[Dict[str, Dict[str, List[str]]]] = \
-            None if nan_latency else {}
+        #: Source host -> minimum-latency node path to every reachable host.
+        self._paths: Dict[str, Dict[str, List[str]]] = {}
 
     def _path(self, src: str, dst: str) -> Optional[List[str]]:
         """The minimum-latency node path from ``src`` to ``dst``, or ``None``."""
         if src not in self.graph or dst not in self.graph:
             return None
-        if self._paths is None or not fast_path_enabled():
+        if not fast_path_enabled():
             PATH_SEARCHES.value += 1.0
             try:
-                return nx.shortest_path(self.graph, src, dst, weight="latency")
+                return nx.shortest_path(self.graph, src, dst,
+                                        weight=_measured_latency)
             except nx.NetworkXNoPath:
                 return None
         paths = self._paths.get(src)
         if paths is None:
             PATH_SEARCHES.value += 1.0
             paths = nx.single_source_dijkstra_path(self.graph, src,
-                                                   weight="latency")
+                                                   weight=_measured_latency)
             self._paths[src] = paths
         return paths.get(dst)
 
@@ -128,8 +132,8 @@ class Aggregator:
 
         Directly measured pairs and representative-covered pairs are answered
         from one edge; other pairs are answered along the minimum-latency
-        path of the coverage graph (sum of latencies, min of bandwidths),
-        ``None`` when no path exists.
+        path of measured segments (sum of latencies, min of bandwidths; see
+        the NaN rule), ``None`` when no path exists.
         """
         if src == dst:
             return LinkEstimate(src=src, dst=dst, latency_s=0.0,
@@ -149,7 +153,10 @@ class Aggregator:
         for a, b in zip(nodes, nodes[1:]):
             data = self.graph.edges[a, b]
             latency += data["latency"]
-            bandwidth = min(bandwidth, data["bandwidth"])
+            hop = data["bandwidth"]
+            # min(), but a NaN hop makes the bandwidth NaN for good.
+            if hop < bandwidth or hop != hop:
+                bandwidth = hop
         return LinkEstimate(src=src, dst=dst, latency_s=latency,
                             bandwidth_mbps=bandwidth, method="aggregated",
                             path=tuple(nodes))

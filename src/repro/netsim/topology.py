@@ -17,6 +17,7 @@ Bandwidths are expressed in Mbit/s (as in the paper), latencies in seconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -365,15 +366,17 @@ class Platform:
     # -- mutation (time-varying platforms) -----------------------------------
     def set_link_bandwidth(self, name: str, bandwidth_mbps: float) -> None:
         """Change a link's capacity in place (routes are unaffected)."""
-        if bandwidth_mbps <= 0:
-            raise ValueError(f"link {name!r} bandwidth must be positive")
+        if not 0 < bandwidth_mbps < math.inf:
+            raise ValueError(f"link {name!r} bandwidth must be positive and "
+                             f"finite, not {bandwidth_mbps!r}")
         self.links[name].bandwidth_mbps = bandwidth_mbps
         self._bump(("link", name))
 
     def set_link_latency(self, name: str, latency_s: float) -> None:
         """Change a link's latency in place (routes are unaffected)."""
-        if latency_s < 0:
-            raise ValueError(f"link {name!r} latency must be non-negative")
+        if not 0 <= latency_s < math.inf:
+            raise ValueError(f"link {name!r} latency must be non-negative "
+                             f"and finite, not {latency_s!r}")
         self.links[name].latency_s = latency_s
         self._bump(("link", name))
 
@@ -385,8 +388,9 @@ class Platform:
         element version untouched, so probe memos would keep serving
         measurements of the old capacity.
         """
-        if bandwidth_mbps <= 0:
-            raise ValueError(f"hub {name!r} bandwidth must be positive")
+        if not 0 < bandwidth_mbps < math.inf:
+            raise ValueError(f"hub {name!r} bandwidth must be positive and "
+                             f"finite, not {bandwidth_mbps!r}")
         node = self.nodes[name]
         if not node.is_hub:
             raise ValueError(f"{name!r} is not a hub")
@@ -551,13 +555,16 @@ class Platform:
             components = list(nx.connected_components(self.graph))
             problems.append(f"platform graph is disconnected ({len(components)} components)")
         for node in self.nodes.values():
-            if node.kind is NodeKind.HUB and node.bandwidth_mbps <= 0:
-                problems.append(f"hub {node.name!r} has non-positive bandwidth")
+            if node.kind is NodeKind.HUB and not 0 < node.bandwidth_mbps < math.inf:
+                problems.append(f"hub {node.name!r} has non-positive or "
+                                f"non-finite bandwidth {node.bandwidth_mbps!r}")
         for link in self.links.values():
-            if link.bandwidth_mbps <= 0:
-                problems.append(f"link {link.name!r} has non-positive bandwidth")
-            if link.latency_s < 0:
-                problems.append(f"link {link.name!r} has negative latency")
+            if not 0 < link.bandwidth_mbps < math.inf:
+                problems.append(f"link {link.name!r} has non-positive or "
+                                f"non-finite bandwidth {link.bandwidth_mbps!r}")
+            if not 0 <= link.latency_s < math.inf:
+                problems.append(f"link {link.name!r} has negative or "
+                                f"non-finite latency {link.latency_s!r}")
         return problems
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -14,9 +14,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from functools import reduce
+from operator import add
+from typing import Deque, Dict, List, Optional, Sequence
 
 __all__ = [
     "Forecaster",
@@ -29,6 +29,8 @@ __all__ = [
     "ForecasterBank",
     "default_forecasters",
 ]
+
+_NAN = float("nan")
 
 
 class Forecaster(ABC):
@@ -90,8 +92,52 @@ class RunningMeanForecaster(Forecaster):
         self._count = 0
 
 
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Sum ``values`` in the order of numpy's float64 ``add.reduce``.
+
+    That order (numpy's ``pairwise_sum``) is: sequential from ``-0.0``
+    below 8 values; eight strided partial sums combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the remainder in turn, up
+    to 128 values; above that, the two halves (the first one cut to a
+    multiple of 8) summed apart and added.
+    """
+    n = len(values)
+    if n < 8:
+        total = -0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for value in values[end:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
 class SlidingWindowMeanForecaster(Forecaster):
-    """Predicts the mean of the last ``window`` values."""
+    """Predicts the mean of the last ``window`` values.
+
+    The prediction equals ``float(np.mean(window))`` bit for bit.  numpy
+    sums a float64 array pairwise (see :func:`_pairwise_sum`) onto its
+    ``+0.0`` identity and divides by the length.  That order is written out
+    here in Python because on a 10-value window numpy's per-call overhead
+    costs several times the sum itself; a running sum would be cheaper
+    still, but it rounds differently.
+    """
 
     def __init__(self, window: int = 10):
         if window < 1:
@@ -104,16 +150,26 @@ class SlidingWindowMeanForecaster(Forecaster):
         self._values.append(value)
 
     def predict(self) -> Optional[float]:
-        if not self._values:
+        values = self._values
+        if not values:
             return None
-        return float(np.mean(self._values))
+        # ``+ 0.0`` is numpy's identity: it turns a -0.0 sum into +0.0.
+        return (_pairwise_sum(tuple(values)) + 0.0) / len(values)
 
     def reset(self) -> None:
         self._values.clear()
 
 
 class SlidingWindowMedianForecaster(Forecaster):
-    """Predicts the median of the last ``window`` values (robust to spikes)."""
+    """Predicts the median of the last ``window`` values (robust to spikes).
+
+    The prediction equals ``float(np.median(window))`` bit for bit: the
+    middle value of the sorted window, or ``(lo + hi) / 2`` of the two
+    middle values, each taken as numpy's mean of one or two values (so a
+    -0.0 sum comes back as +0.0), and NaN whenever the window holds a NaN.
+    The window's last NaN is remembered on update, so a prediction never
+    scans for one.
+    """
 
     def __init__(self, window: int = 10):
         if window < 1:
@@ -121,17 +177,32 @@ class SlidingWindowMedianForecaster(Forecaster):
         self.window = window
         self.name = f"window_median_{window}"
         self._values: Deque[float] = deque(maxlen=window)
+        self._seen = 0
+        self._last_nan = -window
 
     def update(self, value: float) -> None:
         self._values.append(value)
+        self._seen += 1
+        if value != value:
+            self._last_nan = self._seen
 
     def predict(self) -> Optional[float]:
-        if not self._values:
+        values = self._values
+        n = len(values)
+        if not n:
             return None
-        return float(np.median(self._values))
+        if self._seen - self._last_nan < self.window:
+            return _NAN
+        ordered = sorted(values)
+        half = n // 2
+        if n % 2:
+            return ordered[half] + 0.0
+        return (ordered[half - 1] + ordered[half] + 0.0) / 2
 
     def reset(self) -> None:
         self._values.clear()
+        self._seen = 0
+        self._last_nan = -self.window
 
 
 class ExponentialSmoothingForecaster(Forecaster):
@@ -179,7 +250,17 @@ class Forecast:
 
 
 class ForecasterBank:
-    """Mixture-of-experts forecaster for one measurement series."""
+    """Mixture-of-experts forecaster for one measurement series.
+
+    Before each observation, every predictor's prediction is scored by its
+    absolute error; the bank answers with the predictor of least mean
+    absolute error so far.  Predictors that share a name share one error
+    entry.  :meth:`update_many` is the replay loop: it binds each
+    predictor's ``predict``/``update`` once and keeps the errors of the call
+    in one list per name, added onto the running totals in the order they
+    were made, so a replay in one call and one sample at a time agree to
+    the bit.
+    """
 
     def __init__(self, forecasters: Optional[Sequence[Forecaster]] = None,
                  window: int = 10, alpha: float = 0.3):
@@ -190,18 +271,25 @@ class ForecasterBank:
         self.sample_count = 0
 
     def update(self, value: float) -> None:
-        """Feed one observation: score each predictor, then let it learn."""
-        for forecaster in self.forecasters:
-            prediction = forecaster.predict()
-            if prediction is not None:
-                self._abs_error[forecaster.name] += abs(prediction - value)
-                self._error_count[forecaster.name] += 1
-            forecaster.update(value)
-        self.sample_count += 1
+        """Feed one observation (see :meth:`update_many`)."""
+        self.update_many((value,))
 
     def update_many(self, values: Sequence[float]) -> None:
+        """Feed observations in order: before each one, score every
+        predictor's prediction, then let it learn."""
+        errors: Dict[str, List[float]] = {name: [] for name in self._abs_error}
+        steps = [(f.predict, f.update, errors[f.name].append)
+                 for f in self.forecasters]
         for value in values:
-            self.update(value)
+            for predict, learn, record in steps:
+                prediction = predict()
+                if prediction is not None:
+                    record(abs(prediction - value))
+                learn(value)
+        for name, made in errors.items():
+            self._abs_error[name] = reduce(add, made, self._abs_error[name])
+            self._error_count[name] += len(made)
+        self.sample_count += len(values)
 
     def mae(self, name: str) -> float:
         count = self._error_count.get(name, 0)

@@ -87,6 +87,8 @@ class NWSSystem:
                                               host=nameserver_host))
         self.sensors: Dict[str, Sensor] = {}
         self.memories: Dict[str, MemoryServer] = {}
+        #: Memory server name -> server, for the name server's series index.
+        self._memory_named: Dict[str, MemoryServer] = {}
         self.cliques: Dict[str, CliqueRunner] = {}
         self.host_configs = build_host_configs(plan)
         self._build()
@@ -106,6 +108,7 @@ class NWSSystem:
                                   host=clique.hosts[0],
                                   capacity=self.config.memory_capacity)
             self.memories[clique.name] = memory
+            self._memory_named[memory.name] = memory
             self.nameserver.register(Registration(name=memory.name, kind="memory",
                                                   host=memory.host))
             runner = CliqueRunner(
@@ -149,13 +152,9 @@ class NWSSystem:
     # -- series access -------------------------------------------------------------------
     def series(self, src: str, dst: str, metric: str) -> Optional[Series]:
         """The stored series for an ordered pair, if any memory holds one."""
-        memory_name = self.nameserver.memory_for_series(src, dst, metric)
-        if memory_name is None:
-            return None
-        for memory in self.memories.values():
-            if memory.name == memory_name:
-                return memory.fetch(src, dst, metric)
-        return None
+        memory = self._memory_named.get(
+            self.nameserver.memory_for_series(src, dst, metric))
+        return None if memory is None else memory.fetch(src, dst, metric)
 
     def _series_either_direction(self, a: str, b: str, metric: str
                                  ) -> Optional[Series]:

@@ -1,6 +1,7 @@
 """Tests of constraints checking, aggregation and plan quality metrics."""
 
 import itertools
+import math
 
 import networkx as nx
 import pytest
@@ -47,14 +48,19 @@ def all_plans(platform):
 
 
 def oracle_estimate(graph, src, dst):
-    """(path, latency, bandwidth) of a per-pair ``nx.shortest_path``."""
+    """(path, latency, bandwidth) of a per-pair ``nx.shortest_path`` over
+    the measured segments: NaN-latency edges are filtered out of the graph,
+    and a NaN bandwidth on the path makes the path's bandwidth NaN."""
+    measured = nx.subgraph_view(graph, filter_edge=lambda a, b: not math.isnan(
+        graph.edges[a, b]["latency"]))
     try:
-        path = nx.shortest_path(graph, src, dst, weight="latency")
+        path = nx.shortest_path(measured, src, dst, weight="latency")
     except nx.NetworkXNoPath:
         return None
     hops = [graph.edges[a, b] for a, b in zip(path, path[1:])]
+    bandwidths = [hop["bandwidth"] for hop in hops]
     return (tuple(path), sum(hop["latency"] for hop in hops),
-            min(hop["bandwidth"] for hop in hops))
+            math.nan if any(map(math.isnan, bandwidths)) else min(bandwidths))
 
 
 def searches():
@@ -199,11 +205,9 @@ class TestPathIndex:
                 assert searches() - before == (2 if enabled else 3)
 
     def test_nan_latency_graph_answers_as_the_per_pair_search(self):
-        # A missing NWS series gives its edge a NaN latency, and Dijkstra's
-        # choice over NaN weights follows adjacency and heap order: here a
-        # single-source search from s reaches t through the NaN edge s-a,
-        # the per-pair search through b.  Such a graph is searched per pair
-        # in both modes.
+        # A missing NWS series gives its edge a NaN latency.  Such an edge is
+        # not a measured segment: every search skips s-a, so both directions
+        # answer through b, and a-b through t.
         nan = float("nan")
         values = {("a", "s"): (nan, 5.0), ("b", "s"): (1.0, 10.0),
                   ("b", "t"): (1.0, 20.0), ("a", "t"): (1.0, 30.0)}
@@ -232,6 +236,29 @@ class TestPathIndex:
             reference = answers()
         assert repr(fast) == repr(reference)
         assert fast["s", "t"] == (("s", "b", "t"), 2.0, 10.0)
+        assert fast["t", "s"] == (("t", "b", "s"), 2.0, 10.0)
+        assert fast["a", "b"] == (("a", "t", "b"), 2.0, 20.0)
+
+    def test_nan_bandwidth_on_the_path_gives_nan(self):
+        # s-a has a latency but no bandwidth forecast: the path s-a-t crosses
+        # an unmeasured segment, so its bandwidth is NaN in both directions
+        # (min() would answer 5.0 from a-t alone).
+        nan = float("nan")
+        values = {("a", "s"): (1.0, nan), ("a", "t"): (1.0, 5.0)}
+        plan = DeploymentPlan(hosts=["s", "a", "t"])
+        plan.cliques.append(Clique(name="c0", hosts=("s", "a")))
+        plan.cliques.append(Clique(name="c1", hosts=("a", "t")))
+        for enabled in (True, False):
+            with perf.fast_path(enabled):
+                aggregator = Aggregator(
+                    plan, lambda a, b: values[tuple(sorted((a, b)))])
+                for a, b in [("s", "t"), ("t", "s")]:
+                    estimate = aggregator.estimate(a, b)
+                    assert estimate.latency_s == 2.0
+                    assert math.isnan(estimate.bandwidth_mbps), (a, b)
+                    assert repr((estimate.path, estimate.latency_s,
+                                 estimate.bandwidth_mbps)) == repr(
+                        oracle_estimate(aggregator.graph, a, b))
 
     def test_repeated_queries_reuse_the_search(self, ens_lyon, ens_plan):
         aggregator = Aggregator(ens_plan, ground_truth_store(ens_lyon))

@@ -12,7 +12,11 @@ from repro.netsim import (
     is_private_ip,
     mbps_to_bytes_per_s,
     bytes_per_s_to_mbps,
+    build_ens_lyon,
+    finish_platform,
 )
+
+INF, NAN = float("inf"), float("nan")
 
 
 class TestIPv4Address:
@@ -192,6 +196,42 @@ class TestPlatform:
         p.add_link("a", "b", 100.0)
         p.links["a--b"].bandwidth_mbps = 0.0
         assert any("bandwidth" in msg for msg in p.validate())
+
+    @pytest.mark.parametrize("value", [INF, NAN, 0.0, -1.0])
+    def test_set_link_bandwidth_rejects_non_positive_or_non_finite(self, value):
+        p = small_platform()
+        with pytest.raises(ValueError, match="positive and finite"):
+            p.set_link_bandwidth("sw--c", value)
+        assert p.links["sw--c"].bandwidth_mbps == 100.0
+
+    @pytest.mark.parametrize("value", [INF, NAN, -1e-3])
+    def test_set_link_latency_rejects_negative_or_non_finite(self, value):
+        p = small_platform()
+        before = p.links["sw--c"].latency_s
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            p.set_link_latency("sw--c", value)
+        assert p.links["sw--c"].latency_s == before
+        p.set_link_latency("sw--c", 0.0)
+
+    @pytest.mark.parametrize("value", [INF, NAN, 0.0])
+    def test_set_hub_bandwidth_rejects_non_positive_or_non_finite(self, value):
+        p = small_platform()
+        with pytest.raises(ValueError, match="positive and finite"):
+            p.set_hub_bandwidth("hub", value)
+        assert p.nodes["hub"].bandwidth_mbps == 100.0
+
+    def test_validate_flags_non_finite_values(self):
+        platform = build_ens_lyon()
+        link = next(iter(platform.links.values()))
+        link.bandwidth_mbps = INF
+        link.latency_s = NAN
+        problems = platform.validate()
+        assert any(link.name in msg and "bandwidth inf" in msg
+                   for msg in problems)
+        assert any(link.name in msg and "latency nan" in msg
+                   for msg in problems)
+        with pytest.raises(ValueError, match="failed validation"):
+            finish_platform(platform, {})
 
     def test_hosts_sorted(self):
         p = small_platform()

@@ -73,6 +73,14 @@ class TestForecasters:
         f.update(1.0)
         f.reset()
         assert f.predict() is None
+        # The median also forgets the NaN it saw.
+        median = SlidingWindowMedianForecaster(window=3)
+        for v in (1.0, float("nan")):
+            median.update(v)
+        median.reset()
+        assert median.predict() is None
+        median.update(4.0)
+        assert median.predict() == 4.0
 
     def test_default_battery_has_distinct_names(self):
         names = [f.name for f in default_forecasters()]
@@ -241,6 +249,56 @@ class TestFailureInjection:
         system.recover_host("sci3")
         system.run(120.0)
         assert system.sensors["sci3"].experiments_completed > 0
+
+
+class TestForecastsFollowTheStoredWindow:
+    def test_eviction_and_host_failure(self, ens_lyon_module, ens_plan_module):
+        """With a 4-sample memory, every direct and representative answer
+        is a fresh bank's replay of the stored series, and the series holds
+        the last 4 samples stored, across a host failure and recovery."""
+        capacity = 4
+        system = NWSSystem(ens_lyon_module, ens_plan_module,
+                           config=NWSConfig(memory_capacity=capacity,
+                                            token_timeout_s=5.0))
+        stored = {}
+        for memory in system.memories.values():
+            def store(measurement, _store=memory.store):
+                key = (measurement.src, measurement.dst, measurement.metric)
+                stored.setdefault(key, []).append(measurement.value)
+                _store(measurement)
+            memory.store = store
+        system.run(60.0)
+        system.fail_host("sci3")
+        system.run(60.0)
+        system.recover_host("sci3")
+        system.run(240.0)
+        assert all(len(values) > capacity for values in stored.values())
+
+        config = system.config
+        checked = set()
+        hosts = sorted(ens_plan_module.hosts)
+        for src in hosts:
+            for dst in hosts:
+                for metric in (METRIC_BANDWIDTH, METRIC_LATENCY,
+                               METRIC_CONNECT):
+                    if src == dst:
+                        continue
+                    answer = system.query(src, dst, metric)
+                    if answer.method not in ("direct", "representative"):
+                        continue
+                    a, b = answer.source_pair
+                    series = (system.series(a, b, metric)
+                              or system.series(b, a, metric))
+                    key = (series.src, series.dst, metric)
+                    assert series.values() == stored[key][-capacity:]
+                    bank = ForecasterBank(window=config.forecast_window,
+                                          alpha=config.exponential_alpha)
+                    bank.update_many(series.values())
+                    assert answer.forecast == bank.forecast()
+                    checked.add((answer.method, key))
+        assert {method for method, _ in checked} == {"direct",
+                                                     "representative"}
+        assert any("sci3" in key[:2] for _, key in checked)
 
 
 class TestCollisionCorruption:

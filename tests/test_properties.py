@@ -1,9 +1,12 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import itertools
+import math
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
+from repro import perf
 from repro.core import (
     Aggregator,
     Clique,
@@ -36,7 +39,14 @@ from repro.netsim import (
     generate_wan_grid,
     max_min_allocation,
 )
-from repro.nws import ForecasterBank
+from repro.nws import (
+    ExponentialSmoothingForecaster,
+    ForecasterBank,
+    LastValueForecaster,
+    RunningMeanForecaster,
+    SlidingWindowMeanForecaster,
+    SlidingWindowMedianForecaster,
+)
 from repro.simkernel import RandomStreams, derive_seed
 from tests.test_core_quality import oracle_estimate
 
@@ -229,6 +239,132 @@ def test_forecaster_bank_constant_series_zero_error(value, repetitions):
     assert forecast.mae == 0.0
 
 
+#: Any float, with NaN, +-inf, +-0.0 and subnormals drawn often.
+any_floats = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     -5e-324, 2.2250738585072014e-308]),
+    st.floats(), st.floats(min_value=-1e3, max_value=1e3))
+#: Window and series lengths on each side of 8 and of 128, where numpy's
+#: pairwise summation changes its order.
+window_sizes = st.one_of(st.integers(1, 8), st.integers(9, 128),
+                         st.integers(129, 300))
+
+
+def hexed(value):
+    """``value.hex()``, with every NaN as ``nan``."""
+    return None if value is None else float(value).hex()
+
+
+@st.composite
+def windows(draw):
+    """(window size, series): the series draws its values from a short
+    pool, so long series cost hypothesis little."""
+    window, count = draw(window_sizes), draw(window_sizes)
+    pool = draw(st.lists(any_floats, min_size=1, max_size=40))
+    rng = draw(st.randoms())
+    return window, [rng.choice(pool) for _ in range(count)]
+
+
+@given(windows())
+@example((1, [-0.0]))                   # numpy's +0.0 identity
+@example((2, [-0.0, -0.0]))
+@example((2, [-5e-324, 0.0]))           # the median halves to -0.0
+@example((9, [-0.0] * 9))
+@example((3, [math.nan, 1.0, 2.0, 3.0]))  # the NaN was evicted
+@example((3, [1.0, math.nan, 2.0, 3.0]))  # the NaN is the oldest value
+@settings(max_examples=100, deadline=None)
+def test_window_kernels_equal_numpy(drawn):
+    """The windowed predictors equal ``np.mean`` and ``np.median`` of their
+    window bit for bit."""
+    window, values = drawn
+    mean = SlidingWindowMeanForecaster(window)
+    median = SlidingWindowMedianForecaster(window)
+    for value in values:
+        mean.update(value)
+        median.update(value)
+    kept = values[-window:]
+    with np.errstate(all="ignore"):
+        assert hexed(mean.predict()) == hexed(np.mean(kept))
+        assert hexed(median.predict()) == hexed(np.median(kept))
+
+
+class NumpyWindowMean(SlidingWindowMeanForecaster):
+    def predict(self):
+        return float(np.mean(self._values)) if self._values else None
+
+
+class NumpyWindowMedian(SlidingWindowMedianForecaster):
+    def predict(self):
+        return float(np.median(self._values)) if self._values else None
+
+
+class ReferenceBank(ForecasterBank):
+    """The bank scored one sample at a time, each predictor's error added
+    straight onto its name's total."""
+
+    def update_many(self, values):
+        for value in values:
+            for forecaster in self.forecasters:
+                prediction = forecaster.predict()
+                if prediction is not None:
+                    self._abs_error[forecaster.name] += abs(prediction - value)
+                    self._error_count[forecaster.name] += 1
+                forecaster.update(value)
+            self.sample_count += 1
+
+
+def battery(window, alpha, mean, median, shared):
+    predictors = [LastValueForecaster(), RunningMeanForecaster(),
+                  mean(window), median(window),
+                  ExponentialSmoothingForecaster(alpha)]
+    if shared:
+        # A second predictor under the last-value name: the two share one
+        # error entry, filled in sample order.
+        twin = RunningMeanForecaster()
+        twin.name = "last_value"
+        predictors.append(twin)
+    return predictors
+
+
+@given(st.lists(any_floats, min_size=1, max_size=80), st.integers(1, 20),
+       st.floats(min_value=0.01, max_value=1.0), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_bank_replay_equals_numpy_reference(values, window, alpha, shared):
+    """A replay through ``update_many``, and one split between ``update``
+    and ``update_many``, equal a reference bank whose windows call numpy and
+    whose loop scores one sample at a time: forecast value, method, MAE and
+    sample count, and every predictor's MAE, bit for bit."""
+    def snapshot(bank):
+        forecast = bank.forecast()
+        return (None if forecast is None else (
+            hexed(forecast.value), forecast.method, hexed(forecast.mae),
+            forecast.sample_count),
+            [hexed(bank.mae(f.name)) for f in bank.forecasters])
+
+    with np.errstate(all="ignore"):
+        reference = ReferenceBank(battery(window, alpha, NumpyWindowMean,
+                                          NumpyWindowMedian, shared))
+        reference.update_many(values)
+        expected = snapshot(reference)
+    bank = ForecasterBank(battery(window, alpha, SlidingWindowMeanForecaster,
+                                  SlidingWindowMedianForecaster, shared))
+    bank.update_many(values)
+    assert snapshot(bank) == expected
+    # Half the series one sample at a time, the rest in one call.
+    stepped = ForecasterBank(battery(window, alpha,
+                                     SlidingWindowMeanForecaster,
+                                     SlidingWindowMedianForecaster, shared))
+    half = len(values) // 2
+    for value in values[:half]:
+        stepped.update(value)
+    stepped.update_many(values[half:])
+    assert snapshot(stepped) == expected
+    if not shared:
+        default = ForecasterBank(window=window, alpha=alpha)
+        default.update_many(values)
+        assert snapshot(default) == expected
+
+
 # ---------------------------------------------------------------------------
 # RNG streams
 # ---------------------------------------------------------------------------
@@ -294,3 +430,55 @@ def test_path_index_matches_per_pair_search(platform, clique_size, seed):
         got = None if estimate is None else (
             estimate.path, estimate.latency_s, estimate.bandwidth_mbps)
         assert got == oracle_estimate(graph, a, b)
+
+
+@st.composite
+def nan_coverage_plans(draw):
+    """A plan of random two- and three-host cliques, and values for its
+    coverage edges where about a quarter of the latencies and of the
+    bandwidths are NaN.  The latencies are distinct powers of two, so no
+    two paths tie and every search has one answer."""
+    hosts = [f"h{i}" for i in range(draw(st.integers(3, 7)))]
+    plan = DeploymentPlan(hosts=hosts)
+    members = draw(st.lists(st.lists(st.sampled_from(hosts), min_size=2,
+                                     max_size=3, unique=True),
+                            min_size=1, max_size=8))
+    for index, clique in enumerate(members):
+        plan.cliques.append(Clique(name=f"c{index}", hosts=tuple(clique)))
+    pairs = sorted({tuple(sorted(pair)) for clique in members
+                    for pair in itertools.combinations(clique, 2)})
+    exponents = draw(st.permutations(range(len(pairs))))
+    values = {}
+    for pair, exponent in zip(pairs, exponents):
+        nan_latency, nan_bandwidth = draw(st.integers(0, 3)), draw(
+            st.integers(0, 3))
+        values[pair] = (math.nan if nan_latency == 0 else 2.0 ** exponent,
+                        math.nan if nan_bandwidth == 0
+                        else float(draw(st.integers(1, 1000))))
+    return plan, values
+
+
+@given(nan_coverage_plans())
+@settings(max_examples=100, deadline=None)
+def test_path_index_matches_per_pair_search_with_nan_edges(drawn):
+    """With NaN latencies and bandwidths on the coverage edges, no search
+    raises, and the single-source index answers every pair as the per-pair
+    search and as the oracle (NaN-latency edges filtered out of the graph)."""
+    plan, values = drawn
+
+    def answers():
+        aggregator = Aggregator(plan, lambda a, b: values[(a, b)])
+        out = {}
+        for a, b in itertools.permutations(plan.hosts, 2):
+            if aggregator.graph.has_edge(a, b):
+                continue
+            estimate = aggregator.estimate(a, b)
+            got = None if estimate is None else (
+                estimate.path, estimate.latency_s, estimate.bandwidth_mbps)
+            assert repr(got) == repr(oracle_estimate(aggregator.graph, a, b))
+            out[a, b] = got
+        return out
+
+    fast = answers()
+    with perf.fast_path(False):
+        assert repr(answers()) == repr(fast)
