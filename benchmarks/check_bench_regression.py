@@ -7,8 +7,8 @@ when the tracked benchmark regressed by more than the tolerance (default
 25 %).  Two metrics are checked:
 
 * ``counters`` — deterministic hot-path work (simulation events, max-min
-  allocations); any growth beyond the tolerance is a real regression and
-  always fails.
+  allocations, aggregation path searches); any growth beyond the tolerance
+  is a real regression and always fails.
 * ``wall_s`` — wall-clock time; inherently machine-dependent, so the check
   can be skipped with ``--no-wall`` (or widened via ``--tolerance``) on
   hardware that is not comparable to the baseline machine.
@@ -33,7 +33,7 @@ TRACKED = ("benchmarks/test_bench_fastpath.py::"
            "test_bench_fastpath_speedup_on_largest_wan_grid")
 #: Counters that measure deterministic work (others, like cache hits, are
 #: diagnostics rather than cost).
-WORK_COUNTERS = ("events", "allocations")
+WORK_COUNTERS = ("events", "allocations", "path_searches")
 
 
 def _load(path: str) -> dict:
@@ -107,7 +107,7 @@ def main(argv=None) -> int:
         # otherwise a 0 -> millions regression would pass a relative check.
         limit = before * (1.0 + args.tolerance) if before else 1000
         status = "ok" if after <= limit else "REGRESSED"
-        print(f"{key:12s} baseline {before:>12d}  current {after:>12d}  "
+        print(f"{key:13s} baseline {before:>12d}  current {after:>12d}  "
               f"{status}")
         if status != "ok":
             failures.append(key)
@@ -116,7 +116,7 @@ def main(argv=None) -> int:
         after_s = current["wall_s"]
         limit = before_s * (1.0 + args.tolerance)
         status = "ok" if after_s <= limit else "REGRESSED"
-        print(f"{'wall_s':12s} baseline {before_s:>12.4f}  "
+        print(f"{'wall_s':13s} baseline {before_s:>12.4f}  "
               f"current {after_s:>12.4f}  {status}")
         if status != "ok":
             failures.append("wall_s")

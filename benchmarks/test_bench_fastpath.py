@@ -1,7 +1,7 @@
 """FASTPATH — the hot-path overhaul's speedup and equivalence gate.
 
 The fast path (incremental max-min reallocation, probe memoisation,
-constraint-key/steady-state caching, collision-scan hoisting) must make the
+constraint-key caching, collision-scan hoisting) must make the
 end-to-end simulate → map → plan → quality pipeline at least **3× faster**
 on the largest WAN-grid catalog scenario — *without changing any result*.
 Both properties are asserted here: the speedup on identical inputs, and

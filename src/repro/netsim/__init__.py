@@ -34,7 +34,6 @@ from .generators import (
     generate_wan_grid,
     ground_truth_groups,
 )
-from .load import BackgroundLoad, LoadSpec, constant_pair_load, poisson_pair_load
 from .tcp import (
     DEFAULT_BANDWIDTH_PROBE_BYTES,
     DEFAULT_LATENCY_PROBE_BYTES,
@@ -64,7 +63,6 @@ __all__ = [
     "traceroute", "ping_rtt", "TracerouteResult", "TracerouteHop", "ANONYMOUS_HOP",
     "Firewall", "CommunicationBlocked", "attach_firewall", "platform_allows",
     "VlanPlan",
-    "BackgroundLoad", "LoadSpec", "constant_pair_load", "poisson_pair_load",
     "SiteBuilder", "ClusterSpec",
     "SyntheticSpec", "generate_constellation", "generate_single_site",
     "ground_truth_groups", "attach_cluster", "finish_platform",

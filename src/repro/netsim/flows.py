@@ -28,98 +28,6 @@ from .topology import Platform, Route, mbps_to_bytes_per_s
 
 __all__ = ["Flow", "TransferResult", "FlowModel", "max_min_allocation"]
 
-#: Above this many flows the progressive filling runs on a numpy constraint
-#: matrix; below it the scalar loop wins (numpy setup costs dominate).
-VECTORIZE_THRESHOLD = 24
-
-
-def _max_min_scalar(
-    flow_keys: Sequence[Sequence[Tuple]],
-    capacities: Dict[Tuple, float],
-    key_members: Dict[Tuple, set],
-    rates: List[float],
-    active: set,
-) -> List[float]:
-    remaining = {key: capacities[key] for key in key_members}
-    while active:
-        best_key = None
-        best_share = float("inf")
-        for key, members in key_members.items():
-            live = members & active
-            if not live:
-                continue
-            share = remaining[key] / len(live)
-            if share < best_share:
-                best_share = share
-                best_key = key
-        if best_key is None:
-            # Remaining flows cross only saturated-and-removed keys; should not
-            # happen, but terminate defensively with zero rates.
-            break
-        frozen = key_members[best_key] & active
-        for idx in frozen:
-            rates[idx] = best_share
-            active.discard(idx)
-            for key in flow_keys[idx]:
-                remaining[key] = max(0.0, remaining[key] - best_share)
-        # The bottleneck key is now exhausted for allocation purposes.
-        key_members[best_key] = set()
-    return rates
-
-
-def _max_min_vectorized(
-    flow_keys: Sequence[Sequence[Tuple]],
-    capacities: Dict[Tuple, float],
-    key_members: Dict[Tuple, set],
-    rates: List[float],
-    active_set: set,
-) -> List[float]:
-    """Progressive filling over a numpy constraint matrix.
-
-    Bit-identical to :func:`_max_min_scalar`: keys are ordered by first
-    appearance (matching dict insertion order), ``argmin`` picks the first
-    minimal share (matching the scalar strict-``<`` scan), and capacity is
-    drained by repeated subtraction so the float rounding sequence matches.
-    """
-    n = len(flow_keys)
-    key_order = list(key_members)
-    key_index = {key: j for j, key in enumerate(key_order)}
-    counts = np.zeros((len(key_order), n), dtype=np.int64)
-    for i, keys in enumerate(flow_keys):
-        for key in keys:
-            counts[key_index[key], i] += 1
-    membership = counts > 0
-    members_int = membership.astype(np.int64)
-    remaining = np.array([capacities[key] for key in key_order], dtype=float)
-    active = np.zeros(n, dtype=bool)
-    for idx in active_set:
-        active[idx] = True
-    while active.any():
-        # Distinct live members per key (a boolean matmul would collapse to
-        # logical-or, not a count).
-        live = members_int @ active.astype(np.int64)
-        alive = live > 0
-        shares = np.full(len(key_order), np.inf)
-        np.divide(remaining, live, out=shares, where=alive)
-        best = int(np.argmin(shares))
-        if not np.isfinite(shares[best]):
-            break
-        best_share = float(shares[best])
-        frozen = membership[best] & active
-        frozen_idx = np.nonzero(frozen)[0]
-        for i in frozen_idx:
-            rates[int(i)] = best_share
-        active &= ~frozen
-        drains = counts[:, frozen_idx].sum(axis=1)
-        for j in np.nonzero(drains)[0]:
-            value = remaining[j]
-            for _ in range(int(drains[j])):
-                value = max(0.0, value - best_share)
-            remaining[j] = value
-        membership[best, :] = False
-        members_int[best, :] = 0
-    return rates
-
 
 def max_min_allocation(
     flow_keys: Sequence[Sequence[Tuple]],
@@ -139,29 +47,45 @@ def max_min_allocation(
     -------
     list of float
         The allocated rate of each flow, in the same unit as ``capacities``.
-        Flows crossing no constraint (e.g. loopback) get ``inf``.
+        Flows crossing no constraint (e.g. loopback), or only constraints of
+        infinite capacity, get ``inf``.
     """
     ALLOCATIONS.value += 1.0
-    n = len(flow_keys)
-    rates = [0.0] * n
+    # A flow that no finite share ever freezes (it crosses no constraint, or
+    # only infinite ones) is unconstrained.
+    rates = [float("inf")] * len(flow_keys)
     active = set()
     key_members: Dict[Tuple, set] = {}
     for idx, keys in enumerate(flow_keys):
-        if not keys:
-            # Flows with no constraints are unconstrained.
-            rates[idx] = float("inf")
-            continue
-        active.add(idx)
+        if keys:
+            active.add(idx)
         for key in keys:
             if key not in capacities:
                 raise KeyError(f"flow {idx} uses unknown constraint key {key!r}")
             key_members.setdefault(key, set()).add(idx)
-    if not active:
-        return rates
-    if n >= VECTORIZE_THRESHOLD:
-        return _max_min_vectorized(flow_keys, capacities, key_members, rates,
-                                   active)
-    return _max_min_scalar(flow_keys, capacities, key_members, rates, active)
+    remaining = {key: capacities[key] for key in key_members}
+    while active:
+        best_key = None
+        best_share = float("inf")
+        for key, members in key_members.items():
+            live = members & active
+            if not live:
+                continue
+            share = remaining[key] / len(live)
+            if share < best_share:
+                best_share = share
+                best_key = key
+        if best_key is None:
+            break
+        frozen = key_members[best_key] & active
+        for idx in frozen:
+            rates[idx] = best_share
+            active.discard(idx)
+            for key in flow_keys[idx]:
+                remaining[key] = max(0.0, remaining[key] - best_share)
+        # The bottleneck key is now exhausted for allocation purposes.
+        key_members[best_key] = set()
+    return rates
 
 
 _flow_ids = itertools.count(1)
@@ -264,14 +188,6 @@ class FlowModel:
         self._key_members: Dict[Tuple, set] = {}
         self._last_update = engine.now
         self._generation = 0
-        #: Steady-state rate memo, valid for one platform version.  Models
-        #: created at the current platform version share the platform-wide
-        #: cache (identical capacities snapshot); a model that outlives a
-        #: mutation falls back to this private memo because its snapshot no
-        #: longer matches the live topology.
-        self._steady_memo: Dict[Tuple, List[float]] = {}
-        self._memo_platform_version = platform.version
-        self._created_version = platform.version
         self.total_bytes_transferred = 0.0
         self.completed_transfers = 0
 
@@ -332,36 +248,12 @@ class FlowModel:
         """Analytic steady-state rates (Mbit/s) if all ``pairs`` transfer at once.
 
         This does not touch the simulation state; it is the ground-truth
-        oracle used by tests and by the analysis module.  Results are
-        memoised per pair tuple while the platform stays unmutated (the
-        quality metrics query the same pairs thousands of times).
+        oracle used by tests and by the analysis module.  Routes are read
+        live from the platform, capacities from this model's snapshot.
         """
-        if not fast_path_enabled():
-            keys = [self.platform.route(s, d).constraint_keys(self.platform)
-                    for s, d in pairs]
-            return max_min_allocation(keys, dict(self.capacities))
-        version = self.platform.version
-        if self._created_version == version:
-            slot = self.platform._steady_cache.get(self.efficiency)
-            if slot is None or slot["version"] != version:
-                slot = {"version": version, "entries": {}}
-                self.platform._steady_cache[self.efficiency] = slot
-            memo = slot["entries"]
-        else:
-            # The platform mutated under this model: its capacities snapshot
-            # is stale, so its results must not be shared.
-            if self._memo_platform_version != version:
-                self._steady_memo.clear()
-                self._memo_platform_version = version
-            memo = self._steady_memo
-        memo_key = tuple(pairs)
-        cached = memo.get(memo_key)
-        if cached is None:
-            keys = [self.platform.route(s, d).constraint_keys(self.platform)
-                    for s, d in pairs]
-            cached = max_min_allocation(keys, self.capacities)
-            memo[memo_key] = cached
-        return list(cached)
+        keys = [self.platform.route(s, d).constraint_keys(self.platform)
+                for s, d in pairs]
+        return max_min_allocation(keys, self.capacities)
 
     def single_flow_mbps(self, src: str, dst: str) -> float:
         """Analytic bandwidth of a single flow between ``src`` and ``dst``.
@@ -369,16 +261,12 @@ class FlowModel:
         The max-min rate of a lone flow is its route's tightest capacity
         (``inf`` on a route that crosses no constraint), read from the same
         :attr:`capacities` snapshot the allocation uses.  Under
-        ``repro.perf.fast_path(False)`` the allocation itself answers, as it
-        does for a tightest capacity that is not finite: progressive filling
-        never freezes a flow on an infinite share and leaves it at 0.
+        ``repro.perf.fast_path(False)`` the allocation itself answers.
         """
         if fast_path_enabled():
             keys = self.platform.route(src, dst).constraint_keys(self.platform)
-            rate = min((self.capacities[key] for key in keys),
+            return min((self.capacities[key] for key in keys),
                        default=float("inf"))
-            if rate < float("inf") or not keys:
-                return rate
         return self.steady_state_mbps([(src, dst)])[0]
 
     # -- internals --------------------------------------------------------------

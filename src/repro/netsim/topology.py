@@ -243,10 +243,6 @@ class Platform:
         self._route_epoch = 0
         self._pair_epochs: Dict[Tuple[str, str], int] = {}
         self._element_versions: Dict[Tuple[str, str], int] = {}
-        #: Steady-state allocation cache shared by the FlowModels bound to
-        #: this platform (see FlowModel.steady_state_mbps), keyed by
-        #: efficiency; entries are valid for exactly one platform version.
-        self._steady_cache: Dict[float, Dict] = {}
 
     # -- topology versioning ---------------------------------------------------
     @property

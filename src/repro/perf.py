@@ -15,9 +15,8 @@ Two small facilities shared by the whole engine:
 
 * the **fast-path switch** — :func:`set_fast_path` / :func:`fast_path`
   globally disable the incremental/memoised code paths (incremental max-min
-  reallocation, probe memoisation, constraint-key and steady-state caching,
-  the closed-form single-flow rate and the aggregator's single-source path
-  index)
+  reallocation, probe memoisation, constraint-key caching, the closed-form
+  single-flow rate and the aggregator's single-source path index)
   so benchmarks can measure an honest before/after on identical inputs.
   Results must be bit-identical in both modes; only the work done differs.
   The switch exists for measurement and equivalence testing — production

@@ -1,10 +1,9 @@
 """Discrete-event simulation kernel used by the network and NWS simulators."""
 
 from .engine import Engine, StopSimulation
-from .events import AllOf, AnyOf, Event, EventCancelled, Interrupt, Timeout
+from .events import AllOf, Event, Interrupt, Timeout
 from .process import Process
-from .resources import Request, Resource, Store
-from .rng import RandomStreams, derive_seed
+from .rng import derive_seed
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -12,15 +11,9 @@ __all__ = [
     "StopSimulation",
     "Event",
     "Timeout",
-    "AnyOf",
     "AllOf",
     "Interrupt",
-    "EventCancelled",
     "Process",
-    "Resource",
-    "Request",
-    "Store",
-    "RandomStreams",
     "derive_seed",
     "Tracer",
     "TraceRecord",

@@ -12,7 +12,7 @@ import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..perf import EVENTS
-from .events import AllOf, AnyOf, Event, StopSimulation, Timeout
+from .events import AllOf, Event, StopSimulation, Timeout
 from .process import Process
 
 __all__ = ["Engine", "StopSimulation"]
@@ -21,13 +21,12 @@ __all__ = ["Engine", "StopSimulation"]
 class Engine:
     """A discrete-event simulation engine with a floating-point clock.
 
+    An exception escaping a process body propagates out of :meth:`run`.
+
     Parameters
     ----------
     start_time:
         Initial value of the simulation clock (seconds).
-    strict:
-        When True (the default for tests), exceptions escaping a process body
-        propagate out of :meth:`run` instead of silently failing the process.
     """
 
     #: Scheduling priorities: urgent events (interrupts) run before normal ones
@@ -35,18 +34,14 @@ class Engine:
     PRIORITY_URGENT = 0
     PRIORITY_NORMAL = 1
 
-    __slots__ = ("_now", "strict", "_queue", "_counter", "_active_process",
-                 "_stopped", "event_count")
+    __slots__ = ("_now", "_queue", "_counter", "event_count")
 
-    def __init__(self, start_time: float = 0.0, strict: bool = True):
+    def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self.strict = strict
         self._queue: List[Tuple[float, int, int, Event]] = []
         # A plain int sequence number: cheaper than itertools.count() in the
         # scheduling hot path and keeps heap comparisons on ints.
         self._counter = 0
-        self._active_process: Optional[Process] = None
-        self._stopped = False
         self.event_count = 0
 
     # -- clock -------------------------------------------------------------
@@ -54,11 +49,6 @@ class Engine:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
@@ -72,10 +62,6 @@ class Engine:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: List[Event]) -> AnyOf:
-        """Composite event firing when any of ``events`` fires."""
-        return AnyOf(self, events)
 
     def all_of(self, events: List[Event]) -> AllOf:
         """Composite event firing when all of ``events`` have fired."""
@@ -125,7 +111,7 @@ class Engine:
 
         A :class:`StopSimulation` escaping any process or callback terminates
         the run immediately and cleanly; ``run`` returns the exception's
-        value.  This works regardless of ``strict``.
+        value.  An awaited event that fails raises its exception.
         """
         stop_event: Optional[Event] = None
         stop_time = float("inf")
@@ -147,7 +133,7 @@ class Engine:
             except StopSimulation as stop:
                 return stop.value
             if stop_event is not None and stop_event.processed:
-                if not stop_event.ok and self.strict:
+                if not stop_event.ok:
                     raise stop_event._value
                 return stop_event._value
 
@@ -158,18 +144,6 @@ class Engine:
         if stop_time != float("inf"):
             self._now = stop_time
         return None
-
-    def run_all(self, max_events: int = 10_000_000) -> None:
-        """Run until the queue drains, guarding against runaway simulations."""
-        processed = 0
-        while self._queue:
-            try:
-                self.step()
-            except StopSimulation:
-                return
-            processed += 1
-            if processed > max_events:
-                raise RuntimeError("simulation exceeded max_events; likely livelock")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine t={self._now:.6f} pending={len(self._queue)}>"

@@ -18,10 +18,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 __all__ = [
     "Event",
     "Timeout",
-    "AnyOf",
     "AllOf",
     "Interrupt",
-    "EventCancelled",
     "StopSimulation",
 ]
 
@@ -39,18 +37,13 @@ class Interrupt(Exception):
 class StopSimulation(Exception):
     """Raised (by a process or callback) to terminate :meth:`Engine.run` early.
 
-    The engine always honours it — even with ``strict=False``, which swallows
-    ordinary process exceptions — and :meth:`Engine.run` returns cleanly with
-    the exception's value (its first argument, if any).
+    :meth:`Engine.run` returns cleanly with the exception's value (its first
+    argument, if any).
     """
 
     @property
     def value(self) -> Any:
         return self.args[0] if self.args else None
-
-
-class EventCancelled(Exception):
-    """Raised when waiting on an event that was cancelled."""
 
 
 class Event:
@@ -145,8 +138,8 @@ class Timeout(Event):
         engine._schedule(self, delay=delay)
 
 
-class _Condition(Event):
-    """Base class for composite events (:class:`AnyOf` / :class:`AllOf`)."""
+class AllOf(Event):
+    """Fires once all the given events have fired."""
 
     __slots__ = ("events", "_done")
 
@@ -160,34 +153,6 @@ class _Condition(Event):
         for ev in self.events:
             ev.add_callback(self._check)
 
-    def _collect(self) -> dict:
-        # Only events whose callbacks have run count as "happened": a Timeout
-        # is triggered (scheduled) from birth but has not occurred yet.
-        return {ev: ev._value for ev in self.events if ev.processed}
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any one of the given events fires."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._ok is not None:
-            return
-        if not event._ok:
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Fires once all the given events have fired."""
-
-    __slots__ = ()
-
     def _check(self, event: Event) -> None:
         if self._ok is not None:
             return
@@ -196,4 +161,4 @@ class AllOf(_Condition):
             return
         self._done += 1
         if self._done == len(self.events):
-            self.succeed(self._collect())
+            self.succeed({ev: ev._value for ev in self.events})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
-from .events import Event, Interrupt, StopSimulation
+from .events import Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
@@ -88,7 +88,6 @@ class Process(Event):
         self._step(event._value, failed=not event._ok)
 
     def _step(self, value: Any, failed: bool) -> None:
-        self.engine._active_process = self
         try:
             if failed:
                 target = self.generator.throw(value)
@@ -101,17 +100,6 @@ class Process(Event):
             # An un-handled interrupt terminates the process as failed.
             self.fail(exc)
             return
-        except StopSimulation:
-            # A deliberate stop must reach the engine even when strict=False
-            # would swallow an ordinary process exception.
-            raise
-        except BaseException as exc:
-            if self.engine.strict:
-                raise
-            self.fail(exc)
-            return
-        finally:
-            self.engine._active_process = None
 
         if not isinstance(target, Event):
             raise TypeError(

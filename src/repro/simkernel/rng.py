@@ -1,20 +1,16 @@
-"""Deterministic random-number streams for reproducible simulations.
+"""Deterministic seed derivation for reproducible simulations.
 
-Every stochastic component of the simulator (background load, measurement
-noise, clique jitter, synthetic topology generation) draws from its own named
-stream derived from a single experiment seed.  Re-running an experiment with
-the same seed therefore reproduces the exact same event sequence regardless
-of how many streams are created or in which order they are first used.
+A component that needs its own random stream seeds it with
+:func:`derive_seed` from one experiment seed and a stream name, so re-running
+with the same seed reproduces the same draws regardless of how many streams
+exist or in which order they are first used.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
 
-import numpy as np
-
-__all__ = ["RandomStreams", "derive_seed"]
+__all__ = ["derive_seed"]
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -25,30 +21,3 @@ def derive_seed(master_seed: int, name: str) -> int:
     """
     digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
-
-
-class RandomStreams:
-    """A factory of named, independent :class:`numpy.random.Generator` streams."""
-
-    def __init__(self, master_seed: int = 0):
-        self.master_seed = int(master_seed)
-        self._streams: Dict[str, np.random.Generator] = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return (creating if needed) the generator for stream ``name``."""
-        gen = self._streams.get(name)
-        if gen is None:
-            gen = np.random.default_rng(derive_seed(self.master_seed, name))
-            self._streams[name] = gen
-        return gen
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Create a child factory whose streams are independent of the parent's."""
-        return RandomStreams(derive_seed(self.master_seed, f"spawn:{name}"))
-
-    def reset(self) -> None:
-        """Drop all created streams so they restart from their derived seeds."""
-        self._streams.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<RandomStreams seed={self.master_seed} streams={len(self._streams)}>"

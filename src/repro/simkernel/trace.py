@@ -10,7 +10,7 @@ having to know about each other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = ["TraceRecord", "Tracer"]
 
@@ -33,26 +33,16 @@ class TraceRecord:
 class Tracer:
     """Collects :class:`TraceRecord` entries and supports simple queries."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.records: List[TraceRecord] = []
-        self._listeners: List[Callable[[TraceRecord], None]] = []
 
     def emit(self, time: float, category: str, **fields: Any) -> None:
         """Record an event at simulated ``time`` under ``category``."""
-        if not self.enabled:
-            return
-        rec = TraceRecord(time=time, category=category, fields=dict(fields))
-        self.records.append(rec)
-        for listener in self._listeners:
-            listener(rec)
-
-    def add_listener(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Register a callback invoked synchronously for every new record."""
-        self._listeners.append(listener)
+        self.records.append(TraceRecord(time=time, category=category,
+                                        fields=dict(fields)))
 
     def clear(self) -> None:
-        """Drop all collected records (listeners stay registered)."""
+        """Drop all collected records."""
         self.records.clear()
 
     # -- queries -----------------------------------------------------------

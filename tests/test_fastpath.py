@@ -4,8 +4,8 @@ Three pillars, matching the three layers of the optimisation:
 
 * the **incremental** max-min reallocation in :class:`FlowModel` must be
   indistinguishable from the from-scratch recomputation on arbitrary flow
-  arrival/departure sequences (hypothesis-driven), and the numpy-vectorized
-  progressive filling must be bit-identical to the scalar loop;
+  arrival/departure sequences (hypothesis-driven), and the progressive
+  filling must equal the pre-overhaul loop bit for bit;
 * the **probe memo** must return exactly the value a fresh measurement
   would produce, and platform mutations must invalidate exactly the
   affected entries;
@@ -24,8 +24,7 @@ from repro.core.constraints import _find_collisions_reference, find_collisions
 from repro.core import plan_from_view
 from repro.env import AnalyticProbeDriver, ProbeMemo, map_platform
 from repro.netsim import Platform, max_min_allocation
-from repro.netsim.flows import (FlowModel, VECTORIZE_THRESHOLD,
-                                _max_min_vectorized)
+from repro.netsim.flows import FlowModel
 from repro.netsim.generators import WanGridSpec, generate_wan_grid
 from repro.simkernel import Engine
 
@@ -51,15 +50,13 @@ def build_contended_platform() -> Platform:
 # ---------------------------------------------------------------------------
 # Incremental reallocation == from-scratch reallocation
 # ---------------------------------------------------------------------------
-transfer_schedules = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=5),    # src host index
-        st.integers(min_value=0, max_value=5),    # dst host index
-        st.floats(min_value=1e3, max_value=5e6),  # size in bytes
-        st.floats(min_value=0.0, max_value=2.0),  # start time offset
-    ),
-    min_size=1, max_size=12,
+transfers = st.tuples(
+    st.integers(min_value=0, max_value=5),    # src host index
+    st.integers(min_value=0, max_value=5),    # dst host index
+    st.floats(min_value=1e3, max_value=5e6),  # size in bytes
+    st.floats(min_value=0.0, max_value=2.0),  # start time offset
 )
+transfer_schedules = st.lists(transfers, min_size=1, max_size=12)
 
 
 def _run_schedule(platform: Platform, schedule, incremental: bool):
@@ -98,8 +95,7 @@ def allocation_problems(draw):
     keys = [("k", i) for i in range(n_keys)]
     capacities = {key: draw(st.floats(min_value=0.5, max_value=1000.0))
                   for key in keys}
-    n_flows = draw(st.integers(min_value=VECTORIZE_THRESHOLD,
-                               max_value=VECTORIZE_THRESHOLD + 16))
+    n_flows = draw(st.integers(min_value=1, max_value=40))
     flow_keys = [
         draw(st.lists(st.sampled_from(keys), min_size=0, max_size=n_keys,
                       unique=True))
@@ -110,14 +106,10 @@ def allocation_problems(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(problem=allocation_problems())
-def test_vectorized_allocation_is_bit_identical(problem):
+def test_allocation_equals_pre_overhaul_loop(problem):
     flow_keys, capacities = problem
-    # The generated problems sit above VECTORIZE_THRESHOLD, so the public
-    # function dispatches to the numpy kernel; the reference below is the
-    # pre-overhaul scalar loop kept verbatim.
-    vector = max_min_allocation(flow_keys, capacities)
-    scalar = _reference_scalar(flow_keys, capacities)
-    assert vector == scalar
+    assert (max_min_allocation(flow_keys, capacities)
+            == _reference_scalar(flow_keys, capacities))
 
 
 def _reference_scalar(flow_keys, capacities):
@@ -155,17 +147,6 @@ def _reference_scalar(flow_keys, capacities):
                 remaining[key] = max(0.0, remaining[key] - best_share)
         key_members[best_key] = set()
     return rates
-
-
-def test_vectorized_kernel_used_above_threshold():
-    keys = [("k", 0)]
-    capacities = {("k", 0): 100.0}
-    flow_keys = [keys] * VECTORIZE_THRESHOLD
-    key_members = {("k", 0): set(range(VECTORIZE_THRESHOLD))}
-    rates = [0.0] * VECTORIZE_THRESHOLD
-    out = _max_min_vectorized(flow_keys, capacities, key_members, rates,
-                              set(range(VECTORIZE_THRESHOLD)))
-    assert out == [100.0 / VECTORIZE_THRESHOLD] * VECTORIZE_THRESHOLD
 
 
 def test_find_collisions_fast_matches_reference():

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import perf
@@ -29,6 +30,7 @@ from repro.gridml import (
 )
 from repro.netsim import (
     FatTreeSpec,
+    FlowModel,
     IPv4Address,
     RingSpec,
     SyntheticSpec,
@@ -47,8 +49,10 @@ from repro.nws import (
     SlidingWindowMeanForecaster,
     SlidingWindowMedianForecaster,
 )
-from repro.simkernel import RandomStreams, derive_seed
+from repro.simkernel import derive_seed
 from tests.test_core_quality import oracle_estimate
+from tests.test_fastpath import (_run_schedule, build_contended_platform,
+                                 transfers)
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +83,11 @@ def test_ipv4_classful_network_is_prefix(value):
 # ---------------------------------------------------------------------------
 @st.composite
 def allocation_problems(draw):
-    n_keys = draw(st.integers(min_value=1, max_value=5))
+    n_keys = draw(st.integers(min_value=1, max_value=8))
     keys = [("k", i) for i in range(n_keys)]
     capacities = {key: draw(st.floats(min_value=1.0, max_value=1000.0))
                   for key in keys}
-    n_flows = draw(st.integers(min_value=1, max_value=6))
+    n_flows = draw(st.integers(min_value=1, max_value=40))
     flow_keys = [
         draw(st.lists(st.sampled_from(keys), min_size=1, max_size=n_keys,
                       unique=True))
@@ -112,21 +116,58 @@ def test_max_min_rates_positive_and_bottlenecked(problem):
         assert rate <= min(capacities[k] for k in keys) + 1e-6
 
 
-@given(allocation_problems())
-@settings(max_examples=100, deadline=None)
-def test_max_min_every_flow_has_a_saturated_bottleneck(problem):
-    """Max-min optimality: each flow crosses a key it (almost) saturates."""
-    flow_keys, capacities = problem
-    rates = max_min_allocation(flow_keys, capacities)
-    usage = {key: 0.0 for key in capacities}
+def assert_max_min_certificate(flow_keys, rates, capacities, rel=1e-9):
+    """The bottleneck characterisation of max-min fairness (Bertsekas and
+    Gallager, *Data Networks*, ch. 6): no key carries more than its
+    capacity, and every flow crosses a saturated key on which no flow gets
+    a larger rate."""
+    usage = dict.fromkeys(capacities, 0.0)
+    largest = dict.fromkeys(capacities, 0.0)
     for rate, keys in zip(rates, flow_keys):
         for key in keys:
             usage[key] += rate
+            largest[key] = max(largest[key], rate)
+    for key, capacity in capacities.items():
+        assert usage[key] <= capacity * (1 + rel), key
+    saturated = {key for key, capacity in capacities.items()
+                 if usage[key] >= capacity * (1 - rel)}
     for rate, keys in zip(rates, flow_keys):
-        # a flow could only be increased if all its keys had spare capacity AND
-        # it were not the smallest flow on the saturated ones; the weaker check
-        # below (some key nearly saturated) holds for progressive filling.
-        assert any(usage[key] >= capacities[key] - 1e-6 for key in keys)
+        assert any(key in saturated and rate >= largest[key] * (1 - rel)
+                   for key in keys), (rate, keys)
+
+
+@given(allocation_problems())
+@settings(max_examples=100, deadline=None)
+def test_max_min_every_flow_has_a_saturated_bottleneck(problem):
+    flow_keys, capacities = problem
+    rates = max_min_allocation(flow_keys, capacities)
+    assert_max_min_certificate(flow_keys, rates, capacities)
+
+
+@given(schedule=st.lists(transfers, min_size=1, max_size=25))
+@settings(max_examples=40, deadline=None)
+def test_live_rates_are_max_min_after_every_reallocation(schedule):
+    """The running FlowModel's rates, over every active flow, satisfy the
+    certificate after each flow start and finish, in both reallocation
+    modes."""
+    reallocate = FlowModel._reallocate
+    checked = []
+
+    def certified(model, seed_keys=None):
+        reallocate(model, seed_keys)
+        flows = list(model.active.values())
+        assert_max_min_certificate([f.keys for f in flows],
+                                   [f.rate_mbps for f in flows],
+                                   model.capacities)
+        checked.append(len(flows))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FlowModel, "_reallocate", certified)
+        for incremental in (False, True):
+            done = _run_schedule(build_contended_platform(), schedule,
+                                 incremental)
+    # At least one reallocation per start, in each mode.
+    assert len(checked) >= 2 * len(done)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +415,6 @@ def test_derived_seeds_deterministic_and_in_range(seed, name):
     a = derive_seed(seed, name)
     assert a == derive_seed(seed, name)
     assert 0 <= a < 2**63
-
-
-@given(st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=30, deadline=None)
-def test_streams_reset_reproduces_sequence(seed):
-    streams = RandomStreams(seed)
-    first = list(streams.stream("s").random(4))
-    streams.reset()
-    assert list(streams.stream("s").random(4)) == first
 
 
 # ---------------------------------------------------------------------------

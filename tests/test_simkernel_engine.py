@@ -4,12 +4,8 @@ import pytest
 
 from repro.simkernel import (
     Engine,
-    Event,
     Interrupt,
-    RandomStreams,
-    Resource,
     StopSimulation,
-    Store,
     Tracer,
     derive_seed,
 )
@@ -114,10 +110,8 @@ class TestRunUntilTimeBound:
 
 
 class TestStopSimulation:
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_stop_from_process_terminates_run(self, strict):
-        """Regression: strict=False must not swallow StopSimulation."""
-        eng = Engine(strict=strict)
+    def test_stop_from_process_terminates_run(self):
+        eng = Engine()
         fired = []
         eng.timeout(10.0).add_callback(lambda ev: fired.append("too late"))
 
@@ -131,7 +125,7 @@ class TestStopSimulation:
         assert fired == []
 
     def test_stop_without_value_returns_none(self):
-        eng = Engine(strict=False)
+        eng = Engine()
 
         def stopper():
             yield eng.timeout(1.0)
@@ -144,34 +138,10 @@ class TestStopSimulation:
         def boom(_event):
             raise StopSimulation("from-callback")
 
-        eng = Engine(strict=False)
+        eng = Engine()
         eng.timeout(2.0).add_callback(boom)
         eng.timeout(5.0)
         assert eng.run() == "from-callback"
-        assert eng.now == pytest.approx(2.0)
-
-    def test_run_all_honours_stop(self):
-        eng = Engine(strict=False)
-
-        def stopper():
-            yield eng.timeout(1.0)
-            raise StopSimulation
-
-        eng.process(stopper())
-        eng.timeout(50.0)
-        eng.run_all()
-        assert eng.now == pytest.approx(1.0)
-
-    def test_ordinary_exception_still_swallowed_when_nonstrict(self):
-        eng = Engine(strict=False)
-
-        def boom():
-            yield eng.timeout(1.0)
-            raise ValueError("boom")
-
-        eng.process(boom())
-        eng.timeout(2.0)
-        eng.run()  # must not raise
         assert eng.now == pytest.approx(2.0)
 
 
@@ -242,7 +212,7 @@ class TestProcesses:
         eng.run()
 
     def test_strict_mode_propagates_exceptions(self):
-        eng = Engine(strict=True)
+        eng = Engine()
 
         def boom():
             yield eng.timeout(0.1)
@@ -262,18 +232,6 @@ class TestProcesses:
         with pytest.raises(TypeError):
             eng.run()
 
-    def test_any_of_fires_on_first(self):
-        eng = Engine()
-
-        def waiter():
-            result = yield eng.any_of([eng.timeout(5.0, "slow"),
-                                       eng.timeout(1.0, "fast")])
-            return sorted(result.values())
-
-        proc = eng.process(waiter())
-        assert eng.run(until=proc) == ["fast"]
-        assert eng.now == pytest.approx(1.0)
-
     def test_all_of_waits_for_everything(self):
         eng = Engine()
 
@@ -287,73 +245,10 @@ class TestProcesses:
         assert eng.now == pytest.approx(5.0)
 
 
-class TestResources:
-    def test_resource_grants_up_to_capacity(self):
-        eng = Engine()
-        res = Resource(eng, capacity=2)
-        r1, r2, r3 = res.request(), res.request(), res.request()
-        eng.run()
-        assert r1.triggered and r2.triggered
-        assert not r3.triggered
-        res.release(r1)
-        eng.run()
-        assert r3.triggered
-
-    def test_release_unknown_request_is_benign(self):
-        eng = Engine()
-        res = Resource(eng, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        res.release(r2)      # still queued: should just be dropped
-        res.release(r1)
-        assert res.count == 0
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Resource(Engine(), capacity=0)
-
-    def test_store_fifo_order(self):
-        eng = Engine()
-        store = Store(eng)
-        store.put("a")
-        store.put("b")
-        assert store.get().value == "a"
-        assert store.try_get() == "b"
-        assert store.try_get() is None
-
-    def test_store_wakes_waiting_getter(self):
-        eng = Engine()
-        store = Store(eng)
-        received = []
-
-        def consumer():
-            item = yield store.get()
-            received.append(item)
-
-        eng.process(consumer())
-        eng.call_at(1.0, lambda: store.put("late"))
-        eng.run()
-        assert received == ["late"]
-
-
 class TestRandomStreams:
-    def test_same_seed_same_stream(self):
-        a = RandomStreams(7).stream("x").random(5)
-        b = RandomStreams(7).stream("x").random(5)
-        assert list(a) == list(b)
-
-    def test_different_names_differ(self):
-        streams = RandomStreams(7)
-        assert list(streams.stream("x").random(5)) != list(streams.stream("y").random(5))
-
     def test_derive_seed_is_stable_and_positive(self):
         assert derive_seed(3, "abc") == derive_seed(3, "abc")
         assert derive_seed(3, "abc") >= 0
-
-    def test_spawn_is_independent(self):
-        parent = RandomStreams(1)
-        child = parent.spawn("child")
-        assert list(parent.stream("s").random(3)) != list(child.stream("s").random(3))
 
 
 class TestTracer:
@@ -366,15 +261,3 @@ class TestTracer:
         assert [r["x"] for r in tracer.select("a")] == [1, 3]
         assert tracer.select("a", x=3)[0].time == 3.0
         assert tracer.categories() == {"a": 2, "b": 1}
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.emit(1.0, "a")
-        assert len(tracer) == 0
-
-    def test_listener_invoked(self):
-        tracer = Tracer()
-        seen = []
-        tracer.add_listener(lambda rec: seen.append(rec.category))
-        tracer.emit(0.0, "x")
-        assert seen == ["x"]
