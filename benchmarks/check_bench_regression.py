@@ -73,7 +73,8 @@ def main(argv=None) -> int:
             "benchmark": args.benchmark,
             "wall_s": current["wall_s"],
             "counters": {key: current["counters"][key]
-                         for key in WORK_COUNTERS},
+                         for key in WORK_COUNTERS
+                         if key in current["counters"]},
             "code_version": results.get("code_version", ""),
         }
         with open(args.baseline, "w", encoding="utf-8") as handle:

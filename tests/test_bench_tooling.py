@@ -26,7 +26,7 @@ def _write(path, payload):
         json.dump(payload, handle)
 
 
-def _results(tmp_path, wall_s, allocations, events=1000):
+def _results(tmp_path, wall_s, allocations, events=1000, **counters):
     path = tmp_path / "BENCH_results.json"
     _write(path, {
         "schema": 1,
@@ -36,18 +36,21 @@ def _results(tmp_path, wall_s, allocations, events=1000):
              "wall_s": 9.9, "counters": {"events": 5, "allocations": 5}},
             {"benchmark": "benchmarks/test_x.py::test_tracked",
              "wall_s": wall_s,
-             "counters": {"events": events, "allocations": allocations}},
+             "counters": {"events": events, "allocations": allocations,
+                          **counters}},
         ],
     })
     return str(path)
 
 
-def _baseline(tmp_path, wall_s=1.0, allocations=1000, events=1000):
+def _baseline(tmp_path, wall_s=1.0, allocations=1000, events=1000,
+              **counters):
     path = tmp_path / "BENCH_baseline.json"
     _write(path, {
         "benchmark": "benchmarks/test_x.py::test_tracked",
         "wall_s": wall_s,
-        "counters": {"events": events, "allocations": allocations},
+        "counters": {"events": events, "allocations": allocations,
+                     **counters},
     })
     return str(path)
 
@@ -69,6 +72,16 @@ class TestRegressionGate:
              "--baseline", _baseline(tmp_path)] + TRACKED)
         assert code == 1
         assert "allocations" in capsys.readouterr().err
+
+    def test_fails_on_path_search_regression(self, regression, tmp_path,
+                                             capsys):
+        code = regression.main(
+            ["--results", _results(tmp_path, wall_s=1.0, allocations=1000,
+                                   path_searches=2000),
+             "--baseline", _baseline(tmp_path, path_searches=1000),
+             "--no-wall"] + TRACKED)
+        assert code == 1
+        assert "path_searches" in capsys.readouterr().err
 
     def test_fails_on_wall_regression(self, regression, tmp_path):
         code = regression.main(
